@@ -145,22 +145,6 @@ bool StrategyAdvisor::AdviseHorizontalFused(const Table& fact,
   return model.FusedHorizontalCost(s) < model.HorizontalCost(s, materialized);
 }
 
-bool StrategyAdvisor::AdviseLatticeShared(const Table& fact,
-                                          const AnalyzedQuery& query,
-                                          size_t dop) const {
-  CostModel model;
-  Result<std::vector<double>> level_rows =
-      model.EstimateLatticeLevelRows(fact, query);
-  if (!level_rows.ok()) return true;
-  Result<FactStats> stats =
-      model.EstimateStats(fact, query.group_by, /*totals_by=*/{}, /*by=*/{});
-  if (!stats.ok()) return true;
-  FactStats s = stats.value();
-  s.dop = static_cast<double>(dop < 1 ? 1 : dop);
-  return model.LatticeSharedCost(s, level_rows.value()) <=
-         model.LatticePerLevelCost(s, level_rows.value());
-}
-
 Result<size_t> StrategyAdvisor::EstimateCardinality(
     const Table& fact, const std::string& column) const {
   PCTAGG_ASSIGN_OR_RETURN(size_t idx, fact.schema().FindColumn(column));

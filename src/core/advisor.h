@@ -24,7 +24,7 @@ class StrategyAdvisor {
   // Rows sampled when estimating cardinalities.
   static constexpr size_t kSampleRows = 20000;
 
-  // Minimum fact cardinality before the fused pipelines are considered: the
+  // Minimum fact cardinality before the core is considered: the
   // per-statement overhead the fusion saves is fixed, so on small tables the
   // choice is noise and the well-exercised materialized plans stay default.
   static constexpr size_t kFusedMinRows = 65536;
@@ -44,24 +44,16 @@ class StrategyAdvisor {
                                       const AnalyzedQuery& query,
                                       size_t dop = 1) const;
 
-  // Whether the fused push-based pipeline (core/pipeline_plan.h) should
-  // replace the materialized plan for this query. Callers check the shape
-  // gates (VpctPipelineSupported / HorizontalPipelineSupported) first; these
-  // only compare costs: fused runs when the fact table is at least
-  // kFusedMinRows and the model prices the pipeline below the best
-  // materialized strategy at this dop. False on estimation failure.
+  // Whether the partial-summary core (core/lattice_plan.h: fused scan,
+  // rollups, assembly) should replace the materialized plan for this query.
+  // Callers check PartialPlanSupported first; these only compare costs: the
+  // core runs when the fact table is at least kFusedMinRows and the model
+  // prices it below the best materialized strategy at this dop. False on
+  // estimation failure.
   bool AdviseVpctFused(const Table& fact, const AnalyzedQuery& query,
                        size_t dop = 1) const;
   bool AdviseHorizontalFused(const Table& fact, const AnalyzedQuery& query,
                              size_t dop = 1) const;
-
-  // Grouping-set lattices (core/lattice_plan.h): true when the shared-scan
-  // rollup should beat recomputing every level from the fact table. Shared
-  // is the safe default — it only loses when the finest level is nearly as
-  // large as the fact table (rollups then rescan ~n rows while writing far
-  // fewer useful partials) — so estimation failure returns true.
-  bool AdviseLatticeShared(const Table& fact, const AnalyzedQuery& query,
-                           size_t dop = 1) const;
 
   // Estimated number of distinct values in `column` over a bounded prefix
   // sample of `fact` (exact when the table is smaller than the sample).

@@ -90,11 +90,11 @@ class CostModel {
   // Abstract cost of the OLAP window formulation of the same Vpct query.
   double OlapCost(const FactStats& stats) const;
 
-  // Fused push-based pipelines (core/pipeline_plan.h). The Vpct pipeline is
-  // the best materialized strategy minus the Fj index build and one
-  // statement: WHERE folds into the scan, Fj is probed through its own
-  // in-memory hash table, and no temporary catalog tables are created. The
-  // horizontal pipeline is CASE-from-FV minus one statement — so it wins
+  // The partial-summary core (core/lattice_plan.h) as a one-level lattice.
+  // For Vpct it is the best materialized strategy minus the Fj index build
+  // and one statement: WHERE folds into the fused scan, Fj is probed through
+  // its own in-memory hash table, and no temporary catalog tables are
+  // created. For Hpct it is CASE-from-FV minus one statement — so it wins
   // exactly where from-FV already wins over direct (|FV| << n), which is the
   // crossover the advisor looks for.
   double FusedVpctCost(const FactStats& stats) const;

@@ -7,7 +7,6 @@
 #include "core/cost_model.h"
 #include "core/lattice_plan.h"
 #include "core/olap_planner.h"
-#include "core/pipeline_plan.h"
 #include "engine/aggregate.h"
 #include "engine/csv.h"
 #include "engine/merge.h"
@@ -20,95 +19,20 @@ namespace pctagg {
 
 namespace {
 
-// Inline evaluation for plain projections and vertical aggregates (no
-// percentage machinery involved).
-Result<Table> EvaluateSimple(Catalog* catalog, const AnalyzedQuery& query) {
-  PCTAGG_ASSIGN_OR_RETURN(const Table* base,
-                          catalog->GetTable(query.table_name));
+// A plain projection (no aggregates, no GROUP BY): filter, then project.
+Result<Table> EvaluateProjection(const Table& base,
+                                 const AnalyzedQuery& query) {
   Table filtered;
-  const Table* input = base;
+  const Table* input = &base;
   if (query.where != nullptr) {
-    PCTAGG_ASSIGN_OR_RETURN(filtered, Filter(*base, query.where));
+    PCTAGG_ASSIGN_OR_RETURN(filtered, Filter(base, query.where));
     input = &filtered;
   }
-  if (query.query_class == QueryClass::kProjection) {
-    std::vector<ProjectSpec> specs;
-    for (const AnalyzedTerm& t : query.terms) {
-      specs.push_back({t.argument, t.output_name});
-    }
-    return Project(*input, specs);
-  }
-  // Vertical aggregate: group columns in SELECT order plus aggregates.
-  std::vector<AggSpec> aggs;
-  for (const AnalyzedTerm& t : query.terms) {
-    if (t.func == TermFunc::kScalar) continue;
-    AggFunc func;
-    switch (t.func) {
-      case TermFunc::kSum:
-        func = AggFunc::kSum;
-        break;
-      case TermFunc::kCount:
-        func = AggFunc::kCount;
-        break;
-      case TermFunc::kCountStar:
-        func = AggFunc::kCountStar;
-        break;
-      case TermFunc::kAvg:
-        func = AggFunc::kAvg;
-        break;
-      case TermFunc::kMin:
-        func = AggFunc::kMin;
-        break;
-      case TermFunc::kMax:
-        func = AggFunc::kMax;
-        break;
-      default:
-        return Status::Internal("unexpected term in vertical aggregate");
-    }
-    if (t.distinct) {
-      return Status::InvalidArgument(
-          "count(DISTINCT ...) is only supported with a BY clause");
-    }
-    aggs.push_back({func, t.argument, t.output_name});
-  }
-  PCTAGG_ASSIGN_OR_RETURN(Table agg,
-                          HashAggregate(*input, query.group_by, aggs));
-  // Reorder to the SELECT list.
   std::vector<ProjectSpec> specs;
   for (const AnalyzedTerm& t : query.terms) {
-    specs.push_back({Col(t.func == TermFunc::kScalar ? t.scalar_column
-                                                     : t.output_name),
-                     t.output_name});
+    specs.push_back({t.argument, t.output_name});
   }
-  return Project(agg, specs);
-}
-
-// Applies the statement tail — HAVING, ORDER BY, LIMIT — to the
-// materialized result, in SQL's order.
-Result<Table> ApplyTail(Table table, const AnalyzedQuery& query) {
-  if (query.having != nullptr) {
-    Result<Table> filtered = Filter(table, query.having);
-    if (!filtered.ok()) {
-      return Status::AnalysisError("HAVING failed to evaluate: " +
-                                   filtered.status().message());
-    }
-    table = std::move(filtered).value();
-  }
-  if (!query.order_by.empty()) {
-    std::vector<SortKey> keys;
-    for (const OrderItem& item : query.order_by) {
-      if (!table.schema().HasColumn(item.column)) {
-        return Status::AnalysisError("ORDER BY column not in result: " +
-                                     item.column);
-      }
-      keys.push_back({item.column, item.descending});
-    }
-    PCTAGG_ASSIGN_OR_RETURN(table, SortBy(table, keys));
-  }
-  if (query.has_limit) {
-    table = Limit(table, query.limit);
-  }
-  return table;
+  return Project(*input, specs);
 }
 
 // Human name of an executed Vpct configuration, mirroring the Table 4 knobs.
@@ -128,16 +52,12 @@ const AnalyzedTerm* FirstByTerm(const AnalyzedQuery& query) {
   return nullptr;
 }
 
-// Records the planning metadata EXPLAIN ANALYZE audits for a Vpct query:
-// executed strategy, cost-model prediction per candidate (chosen marked),
-// predicted |Fk|.
-void FillVpctTrace(obs::QueryTrace* trace, const Table& fact,
+// Records the cost-model audit EXPLAIN ANALYZE shows for a Vpct query: the
+// prediction per candidate (chosen marked) and the predicted |Fk|.
+void FillVpctCosts(obs::QueryTrace* trace, const Table& fact,
                    const AnalyzedQuery& query, const VpctStrategy& strategy,
-                   bool olap_baseline, bool forced, size_t dop,
-                   bool fused_candidate = false, bool fused_chosen = false) {
-  trace->strategy =
-      olap_baseline ? "OLAP-window" : VpctStrategyName(strategy);
-  trace->strategy_source = forced ? "forced" : "advisor";
+                   bool olap_baseline, size_t dop, bool fused_candidate,
+                   bool fused_chosen) {
   const AnalyzedTerm* term = FirstByTerm(query);
   CostModel model;
   Result<FactStats> stats = model.EstimateStats(
@@ -164,8 +84,8 @@ void FillVpctTrace(obs::QueryTrace* trace, const Table& fact,
   add_candidate("Fj-from-Fk+UPDATE", true, false);
   trace->predicted_costs.push_back(
       {"OLAP-window", model.OlapCost(s), olap_baseline});
-  // The fused pipeline competes only on the advisor path; a forced strategy
-  // keeps the original four-candidate audit the goldens pin.
+  // The core competes only on the advisor path; a forced strategy keeps the
+  // original four-candidate audit the goldens pin.
   if (fused_candidate) {
     trace->predicted_costs.push_back(
         {"fused-pipeline", model.FusedVpctCost(s), fused_chosen});
@@ -174,14 +94,10 @@ void FillVpctTrace(obs::QueryTrace* trace, const Table& fact,
 
 // Same for a horizontal query: the four SIGMOD Table 5 / DMKD Table 3
 // methods ranked by the model, predicted |FV|.
-void FillHorizontalTrace(obs::QueryTrace* trace, const Table& fact,
+void FillHorizontalCosts(obs::QueryTrace* trace, const Table& fact,
                          const AnalyzedQuery& query,
-                         const HorizontalStrategy& strategy, bool forced,
-                         size_t dop, bool fused_candidate = false,
-                         bool fused_chosen = false) {
-  trace->strategy = std::string(HorizontalMethodName(strategy.method)) +
-                    (strategy.hash_dispatch ? "+hash-dispatch" : "+naive-case");
-  trace->strategy_source = forced ? "forced" : "advisor";
+                         const HorizontalStrategy& strategy, size_t dop,
+                         bool fused_candidate, bool fused_chosen) {
   const AnalyzedTerm* term = FirstByTerm(query);
   if (term == nullptr) return;
   std::vector<std::string> full_group = query.group_by;
@@ -196,11 +112,9 @@ void FillHorizontalTrace(obs::QueryTrace* trace, const Table& fact,
   // Predict the cardinality of the first level the plan materializes, so the
   // "actual" read off the executed trace compares like with like: direct
   // methods aggregate straight to the result level D1..Dj, the from-FV
-  // methods materialize FV at D1..Dj ∪ BY first.
+  // methods — and the core — materialize FV at D1..Dj ∪ BY first.
   bool from_fv = strategy.method == HorizontalMethod::kCaseFromFV ||
                  strategy.method == HorizontalMethod::kSpjFromFV;
-  // The fused pipeline materializes FVh (GROUP BY ∪ BY) first, like the
-  // from-FV methods.
   trace->predicted_group_rows = from_fv || fused_chosen
                                     ? s.group_cardinality
                                     : s.totals_cardinality;
@@ -220,13 +134,10 @@ void FillHorizontalTrace(obs::QueryTrace* trace, const Table& fact,
   }
 }
 
-// Planning metadata for a grouping-set lattice query: the executed mode,
-// both candidates priced by the model, predicted finest-level cardinality.
-void FillLatticeTrace(obs::QueryTrace* trace, const Table& fact,
-                      const AnalyzedQuery& query, bool shared, bool forced,
-                      size_t dop) {
-  trace->strategy = shared ? "lattice-shared" : "lattice-per-level";
-  trace->strategy_source = forced ? "forced" : "advisor";
+// Planning metadata for a grouping-set lattice query: both modes priced by
+// the model, predicted finest-level cardinality.
+void FillLatticeCosts(obs::QueryTrace* trace, const Table& fact,
+                      const AnalyzedQuery& query, bool shared, size_t dop) {
   CostModel model;
   Result<std::vector<double>> level_rows =
       model.EstimateLatticeLevelRows(fact, query);
@@ -243,6 +154,137 @@ void FillLatticeTrace(obs::QueryTrace* trace, const Table& fact,
   trace->predicted_costs.push_back(
       {"lattice-per-level", model.LatticePerLevelCost(s, level_rows.value()),
        !shared});
+}
+
+// How Query evaluates one statement. Decided once by RouteQuery, so EXPLAIN
+// renders exactly the plan Query runs and labels it with the strategy
+// EXPLAIN ANALYZE reports.
+struct QueryRoute {
+  enum class Kind {
+    kCore,            // core/lattice_plan.h
+    kVpctPlan,        // materialized Vpct strategy
+    kOlapPlan,        // OLAP-window baseline
+    kHorizontalPlan,  // materialized CASE/SPJ strategy
+    kWindowPlan,      // window-aggregate query
+    kProjection,      // filter + project
+  };
+  Kind kind = Kind::kCore;
+  bool shared_scan = true;  // kCore: shared rollups, else per-level recompute
+  VpctStrategy vpct;
+  HorizontalStrategy horizontal;
+  std::string strategy;  // trace / EXPLAIN label
+  std::string source;    // advisor | forced | default | cache | n/a
+};
+
+Result<QueryRoute> RouteQuery(const StrategyAdvisor& advisor,
+                              const AnalyzedQuery& query, const Table& fact,
+                              const QueryOptions& options, size_t dop) {
+  QueryRoute r;
+  std::string why;
+  const bool core_ok = PartialPlanSupported(query, &why);
+  if (query.has_grouping_sets) {
+    // The core is the only evaluator for CUBE/ROLLUP/GROUPING SETS.
+    if (!core_ok) return Status::InvalidArgument("grouping sets: " + why);
+    r.shared_scan = options.lattice != LatticeMode::kPerLevel;
+    r.strategy = r.shared_scan ? "lattice-shared" : "lattice-per-level";
+    r.source = options.lattice == LatticeMode::kAuto ? "default" : "forced";
+    return r;
+  }
+  // Off the materialized path a plain Vpct/Hpct may take the core: SET exec
+  // fused forces it on supported shapes, auto asks the advisor.
+  const bool exec_forced = options.execution == ExecutionMode::kFused;
+  const bool core_allowed =
+      core_ok && options.execution != ExecutionMode::kMaterialized;
+  switch (query.query_class) {
+    case QueryClass::kProjection:
+      r.kind = QueryRoute::Kind::kProjection;
+      r.strategy = "direct";
+      r.source = "n/a";
+      return r;
+    case QueryClass::kWindow:
+      r.kind = QueryRoute::Kind::kWindowPlan;
+      r.strategy = "OLAP-window";
+      r.source = "n/a";
+      return r;
+    case QueryClass::kVertical:
+      // Only count(DISTINCT) keeps a plain vertical query out of the core.
+      if (!core_ok) {
+        return Status::InvalidArgument(
+            "count(DISTINCT ...) is only supported with a BY clause");
+      }
+      r.strategy = "fused-pipeline";
+      r.source = "n/a";
+      return r;
+    case QueryClass::kVpct: {
+      // A forced strategy or the OLAP baseline is an explicit request for
+      // that plan; otherwise the advisor (or SET exec fused) may take the
+      // core.
+      const bool forced =
+          options.vpct_strategy.has_value() || options.olap_baseline;
+      if (!forced && core_allowed &&
+          (exec_forced || advisor.AdviseVpctFused(fact, query, dop))) {
+        r.strategy = "fused-pipeline";
+        r.source = exec_forced ? "forced" : "advisor";
+      } else if (options.olap_baseline) {
+        r.kind = QueryRoute::Kind::kOlapPlan;
+        r.strategy = "OLAP-window";
+        r.source = "forced";
+      } else {
+        r.kind = QueryRoute::Kind::kVpctPlan;
+        r.vpct = forced ? *options.vpct_strategy
+                        : advisor.AdviseVpct(fact, query, dop);
+        r.strategy = VpctStrategyName(r.vpct);
+        r.source = forced ? "forced" : "advisor";
+      }
+      return r;
+    }
+    case QueryClass::kHorizontal: {
+      const bool forced = options.horizontal_strategy.has_value();
+      if (!forced && core_allowed &&
+          (exec_forced || advisor.AdviseHorizontalFused(fact, query, dop))) {
+        r.strategy = "fused-pipeline";
+        r.source = exec_forced ? "forced" : "advisor";
+      } else {
+        r.kind = QueryRoute::Kind::kHorizontalPlan;
+        r.horizontal = forced ? *options.horizontal_strategy
+                              : advisor.AdviseHorizontal(fact, query, dop);
+        r.strategy =
+            std::string(HorizontalMethodName(r.horizontal.method)) +
+            (r.horizontal.hash_dispatch ? "+hash-dispatch" : "+naive-case");
+        r.source = forced ? "forced" : "advisor";
+      }
+      return r;
+    }
+  }
+  return Status::Internal("unhandled query class");
+}
+
+// A plain vertical query whose finest level came from the summary cache is
+// labelled as answered from a cached ancestor.
+void LabelCacheAnswer(const AnalyzedQuery& query, bool from_cache,
+                      QueryRoute* route) {
+  if (from_cache && !query.has_grouping_sets &&
+      query.query_class == QueryClass::kVertical) {
+    route->strategy = "cache-ancestor";
+    route->source = "cache";
+  }
+}
+
+// The generated script of a materialized route.
+Result<Plan> MaterializedPlan(const QueryRoute& route,
+                              const AnalyzedQuery& query) {
+  switch (route.kind) {
+    case QueryRoute::Kind::kVpctPlan:
+      return PlanVpctQuery(query, route.vpct);
+    case QueryRoute::Kind::kOlapPlan:
+      return PlanOlapPercentageQuery(query);
+    case QueryRoute::Kind::kHorizontalPlan:
+      return PlanHorizontalQuery(query, route.horizontal);
+    case QueryRoute::Kind::kWindowPlan:
+      return PlanWindowQuery(query);
+    default:
+      return Status::Internal("route has no materialized plan");
+  }
 }
 
 // Append-path delta-maintenance counters (process-wide, like the summary
@@ -263,22 +305,6 @@ obs::Counter& DeltaRowsCounter() {
   static obs::Counter& c = obs::GlobalMetrics().GetCounter(
       "pctagg_summary_delta_rows_total", "Rows appended through AppendRows");
   return c;
-}
-
-// Renders multi-line text as the single-column "plan" table every surface
-// (CSV, wire protocol, shell) prints without special casing.
-Table TextToPlanTable(const std::string& text) {
-  Schema schema;
-  schema.AddColumn({"plan", DataType::kString});
-  Table out(schema);
-  size_t begin = 0;
-  while (begin < text.size()) {
-    size_t end = text.find('\n', begin);
-    if (end == std::string::npos) end = text.size();
-    out.mutable_column(0).AppendString(text.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return out;
 }
 
 // One-row result of an append statement.
@@ -337,7 +363,7 @@ Result<Table> PctDatabase::RunPlan(const Plan& plan, const AnalyzedQuery& query,
   }
   Table out = std::move(*result.value());
   plan.Cleanup(&catalog_);
-  return ApplyTail(std::move(out), query);
+  return ApplyQueryTail(std::move(out), query);
 }
 
 Result<Table> PctDatabase::Query(const std::string& sql,
@@ -351,203 +377,79 @@ Result<Table> PctDatabase::Query(const std::string& sql,
         "INSERT/COPY are write statements; run them through Execute()");
   }
   if (stmt_kind.explain) {
-    Result<std::string> text = stmt_kind.analyze
-                                   ? ExplainAnalyze(stmt_kind.select_sql,
-                                                    options)
-                                   : Explain(stmt_kind.select_sql);
+    Result<std::string> text =
+        stmt_kind.analyze ? ExplainAnalyze(stmt_kind.select_sql, options)
+                          : Explain(stmt_kind.select_sql, options);
     if (!text.ok()) return text.status();
     return TextToPlanTable(*text);
   }
 
   PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, Prepare(sql));
+  PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
+                          catalog_.GetTable(query.table_name));
   bool use_cache = options.use_summary_cache.value_or(summary_cache_enabled_);
   // Engine kernels called anywhere below this frame (planner steps run
   // synchronously on this thread) pick the knob up via CurrentDop().
   ScopedParallelism parallelism(options.degree_of_parallelism);
   const size_t dop = CurrentDop();
+  PCTAGG_ASSIGN_OR_RETURN(QueryRoute route,
+                          RouteQuery(advisor_, query, *fact, options, dop));
   obs::QueryTrace* trace = options.trace;
   if (trace != nullptr) {
     trace->query_class = QueryClassName(query.query_class);
-  }
-  // Grouping-set lattice: the shared-scan/per-level executor is the only
-  // evaluator for CUBE/ROLLUP/GROUPING SETS, across every query class.
-  if (query.has_grouping_sets) {
-    PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
-                            catalog_.GetTable(query.table_name));
-    std::string why;
-    if (!LatticeSupported(query, &why)) {
-      return Status::InvalidArgument("grouping sets: " + why);
-    }
-    const bool forced = options.lattice != LatticeMode::kAuto;
-    const bool shared = forced ? options.lattice == LatticeMode::kShared
-                               : advisor_.AdviseLatticeShared(*fact, query,
-                                                              dop);
-    if (trace != nullptr) {
-      FillLatticeTrace(trace, *fact, query, shared, forced, dop);
-    }
-    PCTAGG_ASSIGN_OR_RETURN(
-        Table out,
-        ExecuteLatticeQuery(query, *fact, use_cache ? &summaries_ : nullptr,
-                            trace, dop, shared));
-    if (trace != nullptr) {
-      const obs::TraceNode* agg = FindFirstAggregateOp(trace->root());
-      if (agg != nullptr) {
-        trace->actual_group_rows = static_cast<double>(agg->stats.rows_out);
-      }
-    }
-    return ApplyTail(std::move(out), query);
-  }
-  switch (query.query_class) {
-    case QueryClass::kProjection:
-    case QueryClass::kVertical: {
-      // Partial-lattice reuse: a plain GROUP BY whose grouping is subsumed
-      // by a cached mergeable summary rolls up from the cache instead of
-      // rescanning the fact table (same rows, same order, bit for bit on
-      // integer measures).
-      if (use_cache && query.query_class == QueryClass::kVertical) {
-        bool answered = false;
-        PCTAGG_ASSIGN_OR_RETURN(
-            Table cached, AnswerFromCachedAncestor(query, &summaries_, trace,
-                                                   dop, &answered));
-        if (answered) {
-          if (trace != nullptr) {
-            trace->strategy = "cache-ancestor";
-            trace->strategy_source = "cache";
-          }
-          return ApplyTail(std::move(cached), query);
-        }
-      }
-      Table out;
-      if (trace != nullptr) {
-        trace->strategy = "direct";
-        trace->strategy_source = "n/a";
-        obs::TraceNode* node = trace->root().AddChild("select", sql);
-        obs::ScopedTraceNode scope(node);
-        PCTAGG_ASSIGN_OR_RETURN(out, EvaluateSimple(&catalog_, query));
-      } else {
-        PCTAGG_ASSIGN_OR_RETURN(out, EvaluateSimple(&catalog_, query));
-      }
-      return ApplyTail(std::move(out), query);
-    }
-    case QueryClass::kVpct: {
-      PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
-                              catalog_.GetTable(query.table_name));
-      // Fused-pipeline dispatch: only on the advisor path (a forced strategy
-      // or the OLAP baseline is an explicit request for that plan), and only
-      // for supported shapes. SET exec fused forces it past the cost model.
-      const bool forced_strategy =
+    const bool core = route.kind == QueryRoute::Kind::kCore;
+    if (query.has_grouping_sets) {
+      FillLatticeCosts(trace, *fact, query, route.shared_scan, dop);
+    } else if (query.query_class == QueryClass::kVpct) {
+      const bool forced =
           options.vpct_strategy.has_value() || options.olap_baseline;
-      bool fused = false;
-      if (!forced_strategy &&
-          options.execution != ExecutionMode::kMaterialized &&
-          VpctPipelineSupported(query)) {
-        fused = options.execution == ExecutionMode::kFused ||
-                advisor_.AdviseVpctFused(*fact, query, dop);
-      }
-      if (fused) {
-        if (trace != nullptr) {
-          FillVpctTrace(trace, *fact, query, VpctStrategy{},
-                        /*olap_baseline=*/false, /*forced=*/false, dop,
-                        /*fused_candidate=*/true, /*fused_chosen=*/true);
-          trace->strategy = "fused-pipeline";
-          trace->strategy_source = options.execution == ExecutionMode::kFused
-                                       ? "forced"
-                                       : "advisor";
-        }
-        PCTAGG_ASSIGN_OR_RETURN(
-            Table out,
-            ExecuteVpctPipeline(query, *fact,
-                                use_cache ? &summaries_ : nullptr, trace,
-                                dop));
-        if (trace != nullptr) {
-          const obs::TraceNode* agg = FindFirstAggregateOp(trace->root());
-          if (agg != nullptr) {
-            trace->actual_group_rows =
-                static_cast<double>(agg->stats.rows_out);
-          }
-        }
-        return ApplyTail(std::move(out), query);
-      }
-      Plan plan;
-      VpctStrategy strategy;
-      if (!options.olap_baseline) {
-        if (options.vpct_strategy.has_value()) {
-          strategy = *options.vpct_strategy;
-        } else {
-          strategy = advisor_.AdviseVpct(*fact, query, dop);
-        }
-        PCTAGG_ASSIGN_OR_RETURN(plan, PlanVpctQuery(query, strategy));
-      } else {
-        PCTAGG_ASSIGN_OR_RETURN(plan, PlanOlapPercentageQuery(query));
-      }
-      if (trace != nullptr) {
-        FillVpctTrace(trace, *fact, query, strategy, options.olap_baseline,
-                      forced_strategy, dop,
-                      /*fused_candidate=*/!forced_strategy,
-                      /*fused_chosen=*/false);
-      }
-      return RunPlan(plan, query, use_cache, trace);
+      FillVpctCosts(trace, *fact, query, route.vpct, options.olap_baseline,
+                    dop, /*fused_candidate=*/!forced, /*fused_chosen=*/core);
+    } else if (query.query_class == QueryClass::kHorizontal) {
+      FillHorizontalCosts(trace, *fact, query, route.horizontal, dop,
+                          /*fused_candidate=*/
+                          !options.horizontal_strategy.has_value(),
+                          /*fused_chosen=*/core);
     }
-    case QueryClass::kHorizontal: {
-      PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
-                              catalog_.GetTable(query.table_name));
-      const bool forced_strategy = options.horizontal_strategy.has_value();
-      bool fused = false;
-      if (!forced_strategy &&
-          options.execution != ExecutionMode::kMaterialized &&
-          HorizontalPipelineSupported(query, fact->num_rows())) {
-        fused = options.execution == ExecutionMode::kFused ||
-                advisor_.AdviseHorizontalFused(*fact, query, dop);
-      }
-      if (fused) {
-        if (trace != nullptr) {
-          FillHorizontalTrace(trace, *fact, query, HorizontalStrategy{},
-                              /*forced=*/false, dop,
-                              /*fused_candidate=*/true,
-                              /*fused_chosen=*/true);
-          trace->strategy = "fused-pipeline";
-          trace->strategy_source = options.execution == ExecutionMode::kFused
-                                       ? "forced"
-                                       : "advisor";
-        }
-        PCTAGG_ASSIGN_OR_RETURN(
-            Table out,
-            ExecuteHorizontalPipeline(query, *fact,
-                                      use_cache ? &summaries_ : nullptr,
-                                      trace, dop));
-        if (trace != nullptr) {
-          const obs::TraceNode* agg = FindFirstAggregateOp(trace->root());
-          if (agg != nullptr) {
-            trace->actual_group_rows =
-                static_cast<double>(agg->stats.rows_out);
-          }
-        }
-        return ApplyTail(std::move(out), query);
-      }
-      HorizontalStrategy strategy;
-      if (options.horizontal_strategy.has_value()) {
-        strategy = *options.horizontal_strategy;
-      } else {
-        strategy = advisor_.AdviseHorizontal(*fact, query, dop);
-      }
-      PCTAGG_ASSIGN_OR_RETURN(Plan plan, PlanHorizontalQuery(query, strategy));
+  }
+
+  Table out;
+  switch (route.kind) {
+    case QueryRoute::Kind::kCore: {
+      bool from_cache = false;
+      PCTAGG_ASSIGN_OR_RETURN(
+          out, ExecutePartialPlan(query, *fact,
+                                  use_cache ? &summaries_ : nullptr, trace,
+                                  dop, route.shared_scan, &from_cache));
+      LabelCacheAnswer(query, from_cache, &route);
       if (trace != nullptr) {
-        FillHorizontalTrace(trace, *fact, query, strategy, forced_strategy,
-                            dop, /*fused_candidate=*/!forced_strategy,
-                            /*fused_chosen=*/false);
+        const obs::TraceNode* agg = FindFirstAggregateOp(trace->root());
+        if (agg != nullptr) {
+          trace->actual_group_rows = static_cast<double>(agg->stats.rows_out);
+        }
       }
-      return RunPlan(plan, query, use_cache, trace);
+      break;
     }
-    case QueryClass::kWindow: {
+    case QueryRoute::Kind::kProjection: {
+      obs::ScopedTraceNode scope(
+          trace != nullptr ? trace->root().AddChild("select", sql) : nullptr);
+      PCTAGG_ASSIGN_OR_RETURN(out, EvaluateProjection(*fact, query));
+      break;
+    }
+    default: {
       if (trace != nullptr) {
-        trace->strategy = "OLAP-window";
-        trace->strategy_source = "n/a";
+        trace->strategy = route.strategy;
+        trace->strategy_source = route.source;
       }
-      PCTAGG_ASSIGN_OR_RETURN(Plan plan, PlanWindowQuery(query));
+      PCTAGG_ASSIGN_OR_RETURN(Plan plan, MaterializedPlan(route, query));
       return RunPlan(plan, query, use_cache, trace);
     }
   }
-  return Status::Internal("unhandled query class");
+  if (trace != nullptr) {
+    trace->strategy = route.strategy;
+    trace->strategy_source = route.source;
+  }
+  return ApplyQueryTail(std::move(out), query);
 }
 
 Result<std::string> PctDatabase::ExplainAnalyze(
@@ -877,36 +779,74 @@ Result<Table> PctDatabase::Execute(const std::string& sql,
   return AppendOutcomeTable(outcome);
 }
 
-Result<std::string> PctDatabase::Explain(const std::string& sql) const {
+Result<std::string> PctDatabase::Explain(const std::string& sql,
+                                         const QueryOptions& options) const {
   PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, Prepare(sql));
   PCTAGG_ASSIGN_OR_RETURN(const Table* fact,
                           catalog_.GetTable(query.table_name));
-  if (query.has_grouping_sets) {
-    std::string why;
-    if (!LatticeSupported(query, &why)) {
-      return Status::InvalidArgument("grouping sets: " + why);
+  SummaryCache* summaries =
+      options.use_summary_cache.value_or(summary_cache_enabled_) ? &summaries_
+                                                                  : nullptr;
+  ScopedParallelism parallelism(options.degree_of_parallelism);
+  const size_t dop = CurrentDop();
+  PCTAGG_ASSIGN_OR_RETURN(QueryRoute route,
+                          RouteQuery(advisor_, query, *fact, options, dop));
+  std::string body;
+  switch (route.kind) {
+    case QueryRoute::Kind::kCore:
+      LabelCacheAnswer(query, PartialPlanCached(query, summaries), &route);
+      body = RenderPartialPlan(query, route.shared_scan, summaries);
+      break;
+    case QueryRoute::Kind::kProjection:
+      body = "/* evaluated directly, no generated script */\n";
+      break;
+    default: {
+      PCTAGG_ASSIGN_OR_RETURN(Plan plan, MaterializedPlan(route, query));
+      body = plan.ToSql();
+      break;
     }
-    return RenderLatticeScript(query,
-                               advisor_.AdviseLatticeShared(*fact, query));
   }
-  switch (query.query_class) {
-    case QueryClass::kVpct: {
-      VpctStrategy strategy = advisor_.AdviseVpct(*fact, query);
-      PCTAGG_ASSIGN_OR_RETURN(Plan plan, PlanVpctQuery(query, strategy));
-      return plan.ToSql();
-    }
-    case QueryClass::kHorizontal: {
-      HorizontalStrategy strategy = advisor_.AdviseHorizontal(*fact, query);
-      PCTAGG_ASSIGN_OR_RETURN(Plan plan, PlanHorizontalQuery(query, strategy));
-      return plan.ToSql();
-    }
-    default:
-      return std::string("/* evaluated directly, no generated script */\n");
-  }
+  return "-- strategy: " + route.strategy + " (" + route.source + ")\n" + body;
 }
 
 Result<Table> ApplyQueryTail(Table table, const AnalyzedQuery& query) {
-  return ApplyTail(std::move(table), query);
+  if (query.having != nullptr) {
+    Result<Table> filtered = Filter(table, query.having);
+    if (!filtered.ok()) {
+      return Status::AnalysisError("HAVING failed to evaluate: " +
+                                   filtered.status().message());
+    }
+    table = std::move(filtered).value();
+  }
+  if (!query.order_by.empty()) {
+    std::vector<SortKey> keys;
+    for (const OrderItem& item : query.order_by) {
+      if (!table.schema().HasColumn(item.column)) {
+        return Status::AnalysisError("ORDER BY column not in result: " +
+                                     item.column);
+      }
+      keys.push_back({item.column, item.descending});
+    }
+    PCTAGG_ASSIGN_OR_RETURN(table, SortBy(table, keys));
+  }
+  if (query.has_limit) {
+    table = Limit(table, query.limit);
+  }
+  return table;
+}
+
+Table TextToPlanTable(const std::string& text) {
+  Schema schema;
+  schema.AddColumn({"plan", DataType::kString});
+  Table out(schema);
+  size_t begin = 0;
+  while (begin < text.size()) {
+    size_t end = text.find('\n', begin);
+    if (end == std::string::npos) end = text.size();
+    out.mutable_column(0).AppendString(text.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  return out;
 }
 
 }  // namespace pctagg

@@ -25,11 +25,14 @@ enum class AppendPolicy {
   kRecompute,  // always drop entries (recompute lazily on next lookup)
 };
 
-// Whether percentage queries run through the fused push-based pipeline
-// (core/pipeline_plan.h) or the materialized multi-statement plans. kAuto
-// asks the StrategyAdvisor per query; kFused forces the pipeline whenever
-// the query shape supports it (silently falling back otherwise); forcing a
-// Vpct/horizontal strategy or the OLAP baseline always materializes.
+// Whether plain Vpct/Hpct/Hagg queries run in the partial-summary core
+// (core/lattice_plan.h: one plan whose finest level comes from the summary
+// cache or a fused scan, then rollups and per-level assembly) or as the
+// paper's materialized multi-statement plans. kAuto asks the StrategyAdvisor
+// per query; kFused takes the core whenever it supports the shape (silently
+// materializing otherwise); forcing a Vpct/horizontal strategy or the OLAP
+// baseline always materializes. Plain vertical GROUP BYs and grouping-set
+// queries always run in the core.
 enum class ExecutionMode {
   kAuto,
   kFused,
@@ -38,9 +41,9 @@ enum class ExecutionMode {
 
 // How grouping-set queries (GROUP BY CUBE/ROLLUP/GROUPING SETS) evaluate
 // their lattice (core/lattice_plan.h; SET lattice in sessions). kShared
-// computes the finest level with one fused scan and rolls every coarser
-// level up from cached partials; kPerLevel recomputes each level from the
-// fact table; kAuto asks the StrategyAdvisor.
+// computes the finest level once and rolls every coarser level up from it;
+// kPerLevel recomputes each level from the fact table (the reference mode);
+// kAuto runs shared.
 enum class LatticeMode {
   kAuto,
   kShared,
@@ -222,9 +225,15 @@ class PctDatabase {
   // Evaluates a Vpct query through the ANSI OLAP window-function baseline.
   Result<Table> QueryOlapBaseline(const std::string& sql) const;
 
-  // The generated multi-statement SQL script for `sql` under the advised (or
-  // given) strategy, without executing it.
-  Result<std::string> Explain(const std::string& sql) const;
+  // The plan Query would run for `sql` under `options`, without executing
+  // it: a "-- strategy: <name> (<source>)" line naming the same strategy
+  // EXPLAIN ANALYZE reports, then the generated multi-statement script of a
+  // materialized strategy or the partial-summary plan of the core.
+  Result<std::string> Explain(const std::string& sql) const {
+    return Explain(sql, QueryOptions{});
+  }
+  Result<std::string> Explain(const std::string& sql,
+                              const QueryOptions& options) const;
 
   // EXPLAIN ANALYZE: executes `sql` with tracing on and returns the rendered
   // executed plan — strategy chosen (and why: advisor vs forced), cost-model
@@ -265,6 +274,10 @@ class PctDatabase {
 // which assembles query results outside PctDatabase::Query but must match
 // its tail semantics exactly.
 Result<Table> ApplyQueryTail(Table table, const AnalyzedQuery& query);
+
+// Renders multi-line text as the single-column "plan" table every surface
+// (CSV, wire protocol, shell) prints without special casing.
+Table TextToPlanTable(const std::string& text);
 
 }  // namespace pctagg
 

@@ -12,25 +12,26 @@ namespace pctagg {
 
 namespace {
 
+// DEFAULT 0 for one result cell. The zero takes the cell's own type (FLOAT64
+// for percentages, else the aggregate's), so every strategy emits the column
+// types of the hash-dispatch pivot.
+DataType CellType(const Table& t, const std::string& cell, bool percent) {
+  if (percent) return DataType::kFloat64;
+  Result<const Column*> c = t.ColumnByName(cell);
+  return c.ok() ? (*c)->type() : DataType::kFloat64;
+}
+
+ExprPtr DefaultZero(ExprPtr cell, DataType type) {
+  return CaseWhen({{IsNull(cell), Lit(type == DataType::kInt64
+                                          ? Value::Int64(0)
+                                          : Value::Float64(0.0))}},
+                  cell);
+}
+
 // The aggregate evaluated against the fact table for one horizontal term.
 Result<AggFunc> DirectFunc(const AnalyzedTerm& t) {
-  switch (t.func) {
-    case TermFunc::kHpct:
-    case TermFunc::kSum:
-      return AggFunc::kSum;
-    case TermFunc::kCount:
-      return AggFunc::kCount;
-    case TermFunc::kCountStar:
-      return AggFunc::kCountStar;
-    case TermFunc::kAvg:
-      return AggFunc::kAvg;
-    case TermFunc::kMin:
-      return AggFunc::kMin;
-    case TermFunc::kMax:
-      return AggFunc::kMax;
-    default:
-      return Status::Internal("not a horizontal term");
-  }
+  if (t.func == TermFunc::kHpct) return AggFunc::kSum;
+  return TermAggFunc(t.func);
 }
 
 // How per-(D1..Dk) partial aggregates in FV are combined into cells. Only
@@ -76,7 +77,37 @@ struct BlockSpec {
   // avg() through FV is computed algebraically: cells combine partial sums
   // (`value`) and partial counts (`count_value`) and divide at the end.
   ExprPtr count_value;  // non-null enables the avg decomposition
+  // Hpct through FV: a group whose FV percentages are all NULL has a zero or
+  // NULL total, so every cell of it is NULL (as in the direct Hpct) rather
+  // than the DEFAULT-0 of an absent combination.
+  bool null_groups_without_values = false;
 };
+
+// Applies BlockSpec::null_groups_without_values to a computed block.
+Status NullGroupsWithoutValues(const Table& source, const BlockSpec& spec,
+                               Table* block) {
+  PCTAGG_ASSIGN_OR_RETURN(
+      Table counts,
+      HashAggregate(source, spec.group_by,
+                    {{AggFunc::kCount, spec.value, "__n"}}));
+  Column n(DataType::kInt64);
+  if (spec.group_by.empty()) {
+    for (size_t r = 0; r < block->num_rows(); ++r) {
+      n.AppendFrom(counts.column(0), 0);
+    }
+  } else {
+    PCTAGG_ASSIGN_OR_RETURN(n, LookupColumn(*block, counts, spec.group_by,
+                                            spec.group_by, "__n", nullptr));
+  }
+  for (size_t r = 0; r < block->num_rows(); ++r) {
+    if (!n.IsNull(r) && n.Int64At(r) > 0) continue;
+    for (size_t c = spec.group_by.size(); c < block->num_columns(); ++c) {
+      PCTAGG_RETURN_IF_ERROR(
+          block->mutable_column(c).SetValue(r, Value::Null()));
+    }
+  }
+  return Status::OK();
+}
 
 // Renames cell columns (everything after the group columns) with `prefix`.
 Status PrefixCells(Table* block, size_t num_keys, const std::string& prefix) {
@@ -169,7 +200,8 @@ Result<Table> ComputeCaseBlock(const Table& source, const BlockSpec& spec,
                  Col("__total"));
     }
     if (spec.default_zero) {
-      cell = CaseWhen({{IsNull(cell), Lit(Value::Float64(0.0))}}, cell);
+      cell = DefaultZero(
+          cell, CellType(agg, "__cell_" + std::to_string(i), spec.percent));
     }
     specs.push_back({cell, spec.cell_prefix + cell_names[i]});
   }
@@ -218,7 +250,7 @@ Result<Table> ComputeSpjBlock(const Table& source, const BlockSpec& spec) {
                    Col("__total"));
       }
       if (spec.default_zero) {
-        cell = CaseWhen({{IsNull(cell), Lit(Value::Float64(0.0))}}, cell);
+        cell = DefaultZero(cell, CellType(block, cell_names[i], spec.percent));
       }
       specs.push_back({cell, spec.cell_prefix + PivotColumnName(combos, i)});
     }
@@ -261,7 +293,7 @@ Result<Table> ComputeSpjBlock(const Table& source, const BlockSpec& spec) {
                  Col("__total"));
     }
     if (spec.default_zero) {
-      cell = CaseWhen({{IsNull(cell), Lit(Value::Float64(0.0))}}, cell);
+      cell = DefaultZero(cell, CellType(current, cell_names[i], spec.percent));
     }
     specs.push_back({cell, spec.cell_prefix + PivotColumnName(combos, i)});
   }
@@ -487,6 +519,7 @@ Result<Plan> PlanHorizontalQuery(const AnalyzedQuery& query,
         spec.value = Col("__pv");
         spec.percent = false;
         spec.default_zero = true;  // absent combinations are 0%
+        spec.null_groups_without_values = true;
       } else if (direct_func == AggFunc::kAvg) {
         // avg() is algebraic, not distributive: FV carries the (sum, count)
         // pair and the cells divide the re-aggregated partials.
@@ -552,6 +585,9 @@ Result<Plan> PlanHorizontalQuery(const AnalyzedQuery& query,
                    : ComputeCaseBlock(*input, spec, hash_dispatch);
       }();
       if (!out.ok()) return out.status();
+      if (spec.null_groups_without_values) {
+        PCTAGG_RETURN_IF_ERROR(NullGroupsWithoutValues(*input, spec, &*out));
+      }
       ctx->catalog->CreateOrReplaceTable(block, std::move(out).value());
       return Status::OK();
     });

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "common/string_util.h"
@@ -20,63 +21,34 @@ namespace {
 
 constexpr size_t kNone = static_cast<size_t>(-1);
 
-// Maps a non-percentage SELECT term onto the engine aggregate (same table as
-// the materialized planners and the fused pipelines).
-Result<AggFunc> TermAggFunc(TermFunc func) {
-  switch (func) {
-    case TermFunc::kSum:
-      return AggFunc::kSum;
-    case TermFunc::kCount:
-      return AggFunc::kCount;
-    case TermFunc::kCountStar:
-      return AggFunc::kCountStar;
-    case TermFunc::kAvg:
-      return AggFunc::kAvg;
-    case TermFunc::kMin:
-      return AggFunc::kMin;
-    case TermFunc::kMax:
-      return AggFunc::kMax;
-    default:
-      return Status::Internal("not a vertical aggregate term");
-  }
+// "func(arg)": the identity partials are deduplicated and matched on, so a
+// recipe written by any path — a plan, a batch, the materialized planner —
+// identifies the same partial the same way.
+std::string PartialKey(AggFunc func, const ExprPtr& argument) {
+  return std::string(AggFuncName(func)) + "(" +
+         (func == AggFunc::kCountStar ? "*" : argument->ToString()) + ")";
 }
 
-// Same rendering as the fused pipeline / AddCacheableAggregateStep, so a
-// lattice level and a plain GROUP BY of the same shape share one summary
-// cache entry.
-std::string RenderAggs(const std::vector<AggSpec>& aggs) {
+std::vector<std::string> RenderEach(const std::vector<AggSpec>& aggs) {
   std::vector<std::string> rendered;
   rendered.reserve(aggs.size());
   for (const AggSpec& a : aggs) {
-    std::string arg = a.func == AggFunc::kCountStar ? "*" : a.input->ToString();
-    rendered.push_back(std::string(AggFuncName(a.func)) + "(" + arg + ") AS " +
-                       a.output_name);
+    rendered.push_back(PartialKey(a.func, a.input) + " AS " + a.output_name);
   }
-  return Join(rendered, ",");
+  return rendered;
 }
 
-// SQL-ish description of one lattice stage for EXPLAIN ANALYZE.
-std::string RenderStage(const std::string& what,
-                        const std::vector<std::string>& group_by,
-                        const std::vector<AggSpec>& aggs,
-                        const std::string& from, const ExprPtr& where) {
-  std::vector<std::string> cols = group_by;
-  for (const AggSpec& a : aggs) {
-    std::string arg = a.func == AggFunc::kCountStar ? "*" : a.input->ToString();
-    cols.push_back(std::string(AggFuncName(a.func)) + "(" + arg + ") AS " +
-                   a.output_name);
-  }
-  std::string sql = what + " SELECT " + Join(cols, ", ") + " FROM " + from;
-  if (where != nullptr) sql += " WHERE " + where->ToString();
-  if (!group_by.empty()) sql += " GROUP BY " + Join(group_by, ", ");
-  return sql;
+// Same rendering as AddCacheableAggregateStep, so equal aggregation steps key
+// the same summary-cache entry.
+std::string RenderAggs(const std::vector<AggSpec>& aggs) {
+  return Join(RenderEach(aggs), ",");
 }
 
 Result<size_t> ColIndex(const Table& t, const std::string& name) {
   for (size_t c = 0; c < t.num_columns(); ++c) {
     if (EqualsIgnoreCase(t.schema().column(c).name, name)) return c;
   }
-  return Status::Internal("lattice plan lost column: " + name);
+  return Status::Internal("partial plan lost column: " + name);
 }
 
 bool ContainsColumn(const std::vector<std::string>& cols,
@@ -99,63 +71,196 @@ std::string LevelName(const std::vector<std::string>& cols) {
   return "(" + Join(cols, ", ") + ")";
 }
 
-// One deduplicated distributive partial carried through every lattice level:
-// the finest-level aggregate over the fact table plus the re-aggregation that
-// rolls its column up to a coarser level.
-struct Partial {
-  AggSpec spec;
-  AggFunc combine;
-  bool count_typed;  // the empty-source () rollup patches NULL back to 0
+// Re-aggregation of a distributive partial: min/max keep their function,
+// counts and sums re-sum.
+AggFunc CombineFunc(AggFunc func) {
+  return func == AggFunc::kMin || func == AggFunc::kMax ? func : AggFunc::kSum;
+}
+
+std::vector<AggSpec> CombineSpecs(const std::vector<AggSpec>& partials) {
+  std::vector<AggSpec> out;
+  out.reserve(partials.size());
+  for (const AggSpec& p : partials) {
+    out.push_back({CombineFunc(p.func), Col(p.output_name), p.output_name});
+  }
+  return out;
+}
+
+// Rolls the partial table `src` up to grouping `cols`: output column
+// partials[i].output_name re-aggregates source column from[i] (the partial's
+// own name when `from` is empty). Rolling zero groups up to the global ()
+// level leaves count partials NULL where a direct scan of the empty input
+// emits 0; they are patched so every source agrees bit for bit.
+Result<Table> RollUp(const Table& src, const std::vector<std::string>& cols,
+                     const std::vector<AggSpec>& partials,
+                     const std::vector<std::string>& from, size_t dop) {
+  std::vector<AggSpec> combine = CombineSpecs(partials);
+  for (size_t i = 0; i < from.size(); ++i) combine[i].input = Col(from[i]);
+  PCTAGG_ASSIGN_OR_RETURN(Table t, HashAggregate(src, cols, combine, dop));
+  if (cols.empty() && src.num_rows() == 0) {
+    for (size_t a = 0; a < partials.size(); ++a) {
+      const bool is_count = partials[a].func == AggFunc::kCount ||
+                            partials[a].func == AggFunc::kCountStar;
+      if (!is_count || !t.column(a).IsNull(0)) continue;
+      PCTAGG_RETURN_IF_ERROR(t.mutable_column(a).SetValue(0, Value::Int64(0)));
+    }
+  }
+  return t;
+}
+
+// Source column in `recipe` for every partial, matched by (func, argument);
+// false when the recipe lacks one of them.
+bool MatchPartials(const std::vector<AggSpec>& partials,
+                   const std::vector<AggSpec>& recipe,
+                   std::vector<std::string>* from) {
+  from->clear();
+  for (const AggSpec& p : partials) {
+    const std::string want = PartialKey(p.func, p.input);
+    const AggSpec* found = nullptr;
+    for (const AggSpec& a : recipe) {
+      if (PartialKey(a.func, a.input) == want) {
+        found = &a;
+        break;
+      }
+    }
+    if (found == nullptr) return false;
+    from->push_back(found->output_name);
+  }
+  return true;
+}
+
+// The cache entry that answers a level: the exact entry when present,
+// otherwise the smallest mergeable entry whose grouping subsumes the level
+// and whose recipe covers every partial.
+struct CachedAncestor {
+  SummaryCache::AncestorCandidate entry;
+  std::vector<std::string> from;  // source column per partial
+  bool exact = false;
 };
 
-// Builds the partial list, deduplicating by (func, argument) so e.g.
-// Vpct(x BY a) and Vpct(x BY b) — or Hpct(x BY d) and sum(x) — share one sum
-// partial. avg is never added directly; callers decompose it into sum+count,
-// which keeps every partial distributive and the cache recipes mergeable.
+std::optional<CachedAncestor> FindCachedAncestor(
+    SummaryCache* cache, const std::string& table_name,
+    const std::vector<std::string>& cols,
+    const std::vector<AggSpec>& partials) {
+  const std::string own_key =
+      SummaryCache::KeyFor(table_name, cols, RenderAggs(partials));
+  std::optional<CachedAncestor> best;
+  for (SummaryCache::AncestorCandidate& cand :
+       cache->MergeableEntriesFor(table_name)) {
+    if (!Subsumes(cand.recipe.group_by, cols)) continue;
+    std::vector<std::string> from;
+    if (!MatchPartials(partials, cand.recipe.aggs, &from)) continue;
+    const bool exact = cand.key == own_key;
+    if (!exact && best.has_value() &&
+        cand.summary->num_rows() >= best->entry.summary->num_rows()) {
+      continue;
+    }
+    best = CachedAncestor{std::move(cand), std::move(from), exact};
+    if (exact) break;
+  }
+  return best;
+}
+
+std::shared_ptr<const Table> Share(Table t) {
+  return std::make_shared<const Table>(std::move(t));
+}
+
+// Answers `cols`/`partials` from its exact summary-cache entry or runs
+// `compute`, inserting the result under its mergeable recipe when this
+// thread owns the fill. Single-flight: identical concurrent misses wait for
+// one owner. Deadlock-free across queries because every fill is released
+// (ScopedFill) before the caller asks for the next one. A null cache just
+// computes. Opens no trace node: a hit marks the caller's.
+template <typename Compute>
+Result<std::shared_ptr<const Table>> CachedStep(
+    SummaryCache* cache, const std::string& table_name,
+    const std::vector<std::string>& cols, const std::vector<AggSpec>& partials,
+    Compute compute) {
+  std::string key;
+  uint64_t generation = 0;
+  std::shared_ptr<const Table> cached;
+  bool own_fill = false;
+  if (cache != nullptr) {
+    key = SummaryCache::KeyFor(table_name, cols, RenderAggs(partials));
+    own_fill = cache->LookupOrBeginFill(key, &cached);
+    // The owner reads the generation only after claiming the fill, so the
+    // stale-insert check covers its whole compute window.
+    if (own_fill) generation = cache->GenerationFor(table_name);
+  }
+  SummaryCache::ScopedFill fill(own_fill ? cache : nullptr, key);
+  if (cached != nullptr) {
+    obs::MarkCacheHit();
+    return cached;
+  }
+  PCTAGG_ASSIGN_OR_RETURN(Table t, compute());
+  if (own_fill) {
+    SummaryRecipe recipe{cols, partials};
+    cache->Insert(key, t, generation, &recipe);
+  }
+  return Share(std::move(t));
+}
+
+obs::TraceNode* AddNode(obs::QueryTrace* trace, const std::string& label,
+                        const std::string& detail) {
+  return trace != nullptr ? trace->root().AddChild(label, detail) : nullptr;
+}
+
+// Sources 1 and 2 for one level. `allow_ancestor` = false restricts the
+// cache to the level's exact entry (per-level recompute mode).
+Result<std::shared_ptr<const Table>> ScanLevel(
+    const std::string& table_name, const Table& fact, const ExprPtr& where,
+    const std::vector<std::string>& cols, const std::vector<AggSpec>& partials,
+    SummaryCache* summaries, obs::QueryTrace* trace, size_t dop,
+    bool allow_ancestor, bool* from_cache) {
+  // Filtered scans never share summaries: the cache holds base-table
+  // aggregates only.
+  SummaryCache* cache = where == nullptr ? summaries : nullptr;
+  if (from_cache != nullptr) *from_cache = false;
+  const std::string scan_detail =
+      "fused-scan: " + RenderStage(cols, partials, table_name, where);
+  if (cache != nullptr && allow_ancestor) {
+    std::optional<CachedAncestor> anc =
+        FindCachedAncestor(cache, table_name, cols, partials);
+    if (anc.has_value()) {
+      if (from_cache != nullptr) *from_cache = true;
+      // Count the hit and refresh the LRU position of the entry used.
+      cache->Lookup(anc->entry.key);
+      obs::ScopedTraceNode scope(AddNode(
+          trace, anc->exact ? "fused" : "cache",
+          anc->exact ? scan_detail
+                     : "cache-ancestor-rollup: level " + LevelName(cols) +
+                           " from cached " +
+                           LevelName(anc->entry.recipe.group_by)));
+      obs::MarkCacheHit();
+      if (anc->exact) return anc->entry.summary;
+      PCTAGG_ASSIGN_OR_RETURN(
+          Table t, RollUp(*anc->entry.summary, cols, partials, anc->from, dop));
+      return Share(std::move(t));
+    }
+  }
+  obs::ScopedTraceNode scope(AddNode(trace, "fused", scan_detail));
+  return CachedStep(cache, table_name, cols, partials, [&] {
+    return FusedAggregate(fact, where, cols, partials, dop);
+  });
+}
+
+// The deduplicated partial list of one plan.
 class PartialSet {
  public:
   size_t Add(AggFunc func, const ExprPtr& argument) {
-    std::string key =
-        std::string(AggFuncName(func)) + "(" +
-        (func == AggFunc::kCountStar ? "*" : argument->ToString()) + ")";
+    std::string key = PartialKey(func, argument);
     auto it = index_.find(key);
     if (it != index_.end()) return it->second;
-    Partial p;
-    p.spec = {func, argument, "__l" + std::to_string(partials_.size() + 1)};
-    p.count_typed = func == AggFunc::kCount || func == AggFunc::kCountStar;
-    p.combine = func == AggFunc::kMin   ? AggFunc::kMin
-                : func == AggFunc::kMax ? AggFunc::kMax
-                                        : AggFunc::kSum;
-    index_[key] = partials_.size();
-    partials_.push_back(std::move(p));
-    return partials_.size() - 1;
+    const size_t i = specs_.size();
+    specs_.push_back({func, argument, "__l" + std::to_string(i + 1)});
+    index_[key] = i;
+    return i;
   }
-
-  const std::vector<Partial>& partials() const { return partials_; }
-  const std::string& name(size_t i) const {
-    return partials_[i].spec.output_name;
-  }
-
-  std::vector<AggSpec> Specs() const {
-    std::vector<AggSpec> out;
-    out.reserve(partials_.size());
-    for (const Partial& p : partials_) out.push_back(p.spec);
-    return out;
-  }
-
-  // The rollup aggregates: each partial column re-aggregated under its own
-  // name, so every level's table has an identical schema.
-  std::vector<AggSpec> CombineSpecs() const {
-    std::vector<AggSpec> out;
-    out.reserve(partials_.size());
-    for (const Partial& p : partials_) {
-      out.push_back({p.combine, Col(p.spec.output_name), p.spec.output_name});
-    }
-    return out;
-  }
+  const std::vector<AggSpec>& specs() const { return specs_; }
+  const std::string& name(size_t i) const { return specs_[i].output_name; }
 
  private:
-  std::vector<Partial> partials_;
+  std::vector<AggSpec> specs_;
   std::map<std::string, size_t> index_;
 };
 
@@ -165,38 +270,8 @@ struct TermPlan {
   size_t count = kNone;  // avg only
 };
 
-Status BuildVerticalPartials(const AnalyzedQuery& query, PartialSet* pset,
-                             std::vector<TermPlan>* plans) {
-  plans->assign(query.terms.size(), TermPlan{});
-  for (size_t i = 0; i < query.terms.size(); ++i) {
-    const AnalyzedTerm& t = query.terms[i];
-    TermPlan& p = (*plans)[i];
-    switch (t.func) {
-      case TermFunc::kScalar:
-      case TermFunc::kGrouping:
-        break;
-      case TermFunc::kVpct:
-        p.main = pset->Add(AggFunc::kSum, t.argument);
-        break;
-      case TermFunc::kAvg:
-        p.main = pset->Add(AggFunc::kSum, t.argument);
-        p.count = pset->Add(AggFunc::kCount, t.argument);
-        break;
-      default: {
-        PCTAGG_ASSIGN_OR_RETURN(AggFunc func, TermAggFunc(t.func));
-        p.main = pset->Add(func, t.argument);
-        break;
-      }
-    }
-  }
-  // A pure grouping query (scalars + GROUPING() only) still needs one
-  // concrete column per level so the () level materializes its single row.
-  if (pset->partials().empty()) pset->Add(AggFunc::kCountStar, nullptr);
-  return Status::OK();
-}
-
 // The single BY term, its pivot shape, and the extra vertical aggregates of
-// a horizontal lattice query.
+// a horizontal query.
 struct HorizontalPlan {
   const AnalyzedTerm* hterm = nullptr;
   bool is_pct = false;
@@ -204,36 +279,83 @@ struct HorizontalPlan {
   AggFunc pivot_func = AggFunc::kSum;
   struct Extra {
     const AnalyzedTerm* term;
-    AggFunc func;
     size_t main = kNone;
     size_t count = kNone;  // avg only
   };
   std::vector<Extra> extras;
+  std::vector<size_t> extra_partials;  // distinct partials the extras read
 };
 
-Status BuildHorizontalPartials(const AnalyzedQuery& query, PartialSet* pset,
-                               HorizontalPlan* plan) {
+// Every level's partial table, parallel to CorePlan::levels.
+using LevelTables = std::vector<std::shared_ptr<const Table>>;
+
+// One query's plan: partials, per-term assembly, and the lattice levels.
+struct CorePlan {
+  const AnalyzedQuery* query = nullptr;
+  PartialSet pset;
+  std::vector<TermPlan> terms;  // vertical/Vpct, parallel to query->terms
+  HorizontalPlan horizontal;    // horizontal queries (hterm set)
+  // Emitted grouping sets in statement order (the GROUP BY of a plain
+  // query); levels[i] is sets[i] plus the BY columns, followed by a
+  // synthetic finest level (computed, never emitted) when the union itself
+  // is not emitted.
+  std::vector<std::vector<std::string>> sets;
+  std::vector<std::vector<std::string>> levels;
+  size_t finest = 0;  // index of GROUP BY ∪ BY in `levels`
+};
+
+Status BuildVerticalTerms(CorePlan* plan) {
+  const AnalyzedQuery& query = *plan->query;
+  plan->terms.assign(query.terms.size(), TermPlan{});
+  for (size_t i = 0; i < query.terms.size(); ++i) {
+    const AnalyzedTerm& t = query.terms[i];
+    TermPlan& p = plan->terms[i];
+    switch (t.func) {
+      case TermFunc::kScalar:
+      case TermFunc::kGrouping:
+        break;
+      case TermFunc::kVpct:
+        p.main = plan->pset.Add(AggFunc::kSum, t.argument);
+        break;
+      case TermFunc::kAvg:
+        p.main = plan->pset.Add(AggFunc::kSum, t.argument);
+        p.count = plan->pset.Add(AggFunc::kCount, t.argument);
+        break;
+      default: {
+        PCTAGG_ASSIGN_OR_RETURN(AggFunc func, TermAggFunc(t.func));
+        p.main = plan->pset.Add(func, t.argument);
+        break;
+      }
+    }
+  }
+  // A pure grouping query (scalars + GROUPING() only) still needs one
+  // concrete column per level so the () level materializes its single row.
+  if (plan->pset.specs().empty()) plan->pset.Add(AggFunc::kCountStar, nullptr);
+  return Status::OK();
+}
+
+Status BuildHorizontalTerms(CorePlan* plan) {
+  const AnalyzedQuery& query = *plan->query;
+  HorizontalPlan& h = plan->horizontal;
   for (const AnalyzedTerm& t : query.terms) {
     if (t.func != TermFunc::kScalar && t.func != TermFunc::kGrouping &&
         t.has_by) {
-      plan->hterm = &t;
+      h.hterm = &t;
       break;
     }
   }
-  if (plan->hterm == nullptr) {
-    return Status::Internal("horizontal lattice without a BY term");
+  if (h.hterm == nullptr) {
+    return Status::Internal("horizontal plan without a BY term");
   }
-  plan->is_pct = plan->hterm->func == TermFunc::kHpct;
+  h.is_pct = h.hterm->func == TermFunc::kHpct;
   AggFunc direct = AggFunc::kSum;
-  if (!plan->is_pct) {
-    PCTAGG_ASSIGN_OR_RETURN(direct, TermAggFunc(plan->hterm->func));
+  if (!h.is_pct) {
+    PCTAGG_ASSIGN_OR_RETURN(direct, TermAggFunc(h.hterm->func));
   }
-  plan->main = pset->Add(plan->is_pct ? AggFunc::kSum : direct,
-                         plan->hterm->argument);
+  h.main = plan->pset.Add(direct, h.hterm->argument);
   // For Hpct the group total is the sum of the partial sums, so
   // percent-of-group-total over partials equals the direct computation.
-  plan->pivot_func =
-      plan->is_pct ? AggFunc::kSum : pset->partials()[plan->main].combine;
+  h.pivot_func = h.is_pct ? AggFunc::kSum : CombineFunc(direct);
   for (const AnalyzedTerm& t : query.terms) {
     if (t.func == TermFunc::kScalar || t.func == TermFunc::kGrouping ||
         t.has_by) {
@@ -241,144 +363,196 @@ Status BuildHorizontalPartials(const AnalyzedQuery& query, PartialSet* pset,
     }
     HorizontalPlan::Extra e;
     e.term = &t;
-    PCTAGG_ASSIGN_OR_RETURN(e.func, TermAggFunc(t.func));
-    if (e.func == AggFunc::kAvg) {
-      e.main = pset->Add(AggFunc::kSum, t.argument);
-      e.count = pset->Add(AggFunc::kCount, t.argument);
+    PCTAGG_ASSIGN_OR_RETURN(AggFunc func, TermAggFunc(t.func));
+    if (func == AggFunc::kAvg) {
+      e.main = plan->pset.Add(AggFunc::kSum, t.argument);
+      e.count = plan->pset.Add(AggFunc::kCount, t.argument);
     } else {
-      e.main = pset->Add(e.func, t.argument);
+      e.main = plan->pset.Add(func, t.argument);
     }
-    plan->extras.push_back(e);
+    for (size_t p : {e.main, e.count}) {
+      if (p != kNone && std::find(h.extra_partials.begin(),
+                                  h.extra_partials.end(),
+                                  p) == h.extra_partials.end()) {
+        h.extra_partials.push_back(p);
+      }
+    }
+    h.extras.push_back(e);
   }
   return Status::OK();
 }
 
-// One computed lattice level: its aggregation columns (grouping-set columns,
-// plus the BY columns for horizontal queries) and the partial table.
-struct LatticeLevel {
-  std::vector<std::string> cols;
-  std::shared_ptr<const Table> table;
-};
-
-// Computes every level's partial table, finest (widest) first. In shared-scan
-// mode only the finest level touches the fact table (one fused pass); every
-// coarser level re-aggregates the smallest already-computed ancestor. In
-// per-level mode each level runs its own fused scan — both modes produce the
-// same tables bit for bit on integer measures, so they share cache entries.
-// Each level is looked up in / inserted into the summary cache under its own
-// mergeable recipe (unfiltered scans of the base table only).
-// When `finest_override` is non-null the finest level is not computed at all:
-// the caller already holds its partial table (e.g. the coordinator's merged
-// per-shard partials) and every coarser level rolls up from it. Requires
-// shared_scan (there is no fact table to rescan) and disables the cache.
-Result<std::vector<LatticeLevel>> ComputeLevels(
-    const AnalyzedQuery& query, const Table& fact,
-    const std::vector<std::vector<std::string>>& level_cols,
-    const PartialSet& pset, SummaryCache* summaries, obs::QueryTrace* trace,
-    size_t dop, bool shared_scan,
-    std::shared_ptr<const Table> finest_override = nullptr) {
-  const std::vector<AggSpec> specs = pset.Specs();
-  const std::vector<AggSpec> combine = pset.CombineSpecs();
-  const std::string rendered = RenderAggs(specs);
-  const bool cacheable = query.where == nullptr && summaries != nullptr &&
-                         finest_override == nullptr;
-  if (finest_override != nullptr && !shared_scan) {
-    return Status::Internal(
-        "finest-override lattice requires shared-scan rollups");
+// Callers check PartialPlanSupported first.
+Result<CorePlan> BuildCorePlan(const AnalyzedQuery& query) {
+  CorePlan plan;
+  plan.query = &query;
+  std::vector<std::string> by;
+  if (query.query_class == QueryClass::kHorizontal) {
+    PCTAGG_RETURN_IF_ERROR(BuildHorizontalTerms(&plan));
+    by = plan.horizontal.hterm->by_columns;
+  } else {
+    PCTAGG_RETURN_IF_ERROR(BuildVerticalTerms(&plan));
   }
+  plan.sets = query.has_grouping_sets
+                  ? query.grouping_sets
+                  : std::vector<std::vector<std::string>>{query.group_by};
+  plan.finest = kNone;
+  for (const std::vector<std::string>& s : plan.sets) {
+    // Levels are normalized subsets of the union, so size equality means
+    // equality.
+    if (s.size() == query.group_by.size()) plan.finest = plan.levels.size();
+    std::vector<std::string> cols = s;
+    cols.insert(cols.end(), by.begin(), by.end());
+    plan.levels.push_back(std::move(cols));
+  }
+  if (plan.finest == kNone) {
+    plan.finest = plan.levels.size();
+    std::vector<std::string> cols = query.group_by;
+    cols.insert(cols.end(), by.begin(), by.end());
+    plan.levels.push_back(std::move(cols));
+  }
+  return plan;
+}
 
-  std::vector<LatticeLevel> out(level_cols.size());
-  std::vector<size_t> order(level_cols.size());
+Status Unsupported(const AnalyzedQuery& query, const std::string& context) {
+  std::string why;
+  if (PartialPlanSupported(query, &why)) return Status::OK();
+  return Status::InvalidArgument(context + ": " + why);
+}
+
+// Computes every level's partial table, finest first. The finest level is
+// `finest` when given (sources 3 and 4), else scanned (sources 1 and 2).
+// In shared-scan mode every coarser level re-aggregates the smallest
+// already-computed ancestor; in per-level mode each level runs its own
+// fused scan. Both modes produce the same tables bit for bit on integer
+// measures, so every level is looked up in / inserted into the summary cache
+// under its own mergeable recipe (unfiltered scans of the base table only).
+Result<LevelTables> ComputeLevels(
+    const CorePlan& plan, const Table& fact, SummaryCache* summaries,
+    obs::QueryTrace* trace, size_t dop, bool shared_scan,
+    std::shared_ptr<const Table> finest, bool* from_cache) {
+  const AnalyzedQuery& query = *plan.query;
+  const std::vector<AggSpec>& specs = plan.pset.specs();
+  SummaryCache* cache = query.where == nullptr ? summaries : nullptr;
+  LevelTables out(plan.levels.size());
+  std::vector<size_t> order(plan.levels.size());
   std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&level_cols](size_t a, size_t b) {
-                     return level_cols[a].size() > level_cols[b].size();
-                   });
+  std::stable_sort(order.begin(), order.end(), [&plan](size_t a, size_t b) {
+    return plan.levels[a].size() > plan.levels[b].size();
+  });
 
   for (size_t oi = 0; oi < order.size(); ++oi) {
     const size_t li = order[oi];
-    const std::vector<std::string>& cols = level_cols[li];
-    out[li].cols = cols;
-
-    std::string cache_key;
-    uint64_t generation = 0;
-    std::shared_ptr<const Table> cached;
-    bool own_fill = false;
-    if (cacheable) {
-      cache_key = SummaryCache::KeyFor(query.table_name, cols, rendered);
-      // Single-flight per level; safe against cross-query deadlock because a
-      // thread releases each level's fill (ScopedFill below) before asking
-      // for the next one — nobody waits while owning.
-      own_fill = summaries->LookupOrBeginFill(cache_key, &cached);
-      if (own_fill) {
-        generation = summaries->GenerationFor(query.table_name);
-      }
-    }
-    SummaryCache::ScopedFill fill(own_fill ? summaries : nullptr, cache_key);
-
-    const bool fused_path = !shared_scan || oi == 0;
-    const LatticeLevel* src = nullptr;
-    if (!fused_path) {
-      for (size_t pj = 0; pj < oi; ++pj) {
-        const LatticeLevel& cand = out[order[pj]];
-        if (!Subsumes(cand.cols, cols)) continue;
-        if (src == nullptr || cand.table->num_rows() < src->table->num_rows()) {
-          src = &cand;
-        }
-      }
-      if (src == nullptr) {
-        return Status::Internal("lattice rollup has no source level");
-      }
-    }
-
-    obs::TraceNode* node = nullptr;
-    if (trace != nullptr) {
-      std::string detail =
-          fused_path
-              ? (finest_override != nullptr
-                     ? "merged-partials: level " + LevelName(cols)
-                     : RenderStage("fused-scan:", cols, specs,
-                                   query.table_name, query.where))
-              : "lattice-rollup: level " + LevelName(cols) + " from " +
-                    LevelName(src->cols);
-      node = trace->root().AddChild(fused_path ? "fused" : "lattice", detail);
-    }
-    obs::ScopedTraceNode scope(node);
-    if (fused_path && finest_override != nullptr) {
-      out[li].table = finest_override;
+    const std::vector<std::string>& cols = plan.levels[li];
+    if (oi == 0 && finest != nullptr) {
+      out[li] = std::move(finest);
       continue;
     }
-    if (cached != nullptr) {
-      obs::MarkCacheHit();
-      out[li].table = std::move(cached);
-      continue;
-    }
-
-    Table t;
-    if (fused_path) {
+    if (oi == 0 || !shared_scan) {
       PCTAGG_ASSIGN_OR_RETURN(
-          t, FusedAggregate(fact, query.where, cols, specs, dop));
-    } else {
-      PCTAGG_ASSIGN_OR_RETURN(t,
-                              HashAggregate(*src->table, cols, combine, dop));
-      if (cols.empty() && src->table->num_rows() == 0) {
-        // Rolling up zero groups leaves the global row's count partials NULL
-        // where a direct scan of the empty fact emits 0; patch them so both
-        // lattice modes agree bit for bit.
-        for (size_t a = 0; a < combine.size(); ++a) {
-          if (!pset.partials()[a].count_typed || !t.column(a).IsNull(0)) {
-            continue;
-          }
-          PCTAGG_RETURN_IF_ERROR(
-              t.mutable_column(a).SetValue(0, Value::Int64(0)));
-        }
+          out[li], ScanLevel(query.table_name, fact, query.where, cols, specs,
+                             summaries, trace, dop,
+                             /*allow_ancestor=*/shared_scan,
+                             oi == 0 ? from_cache : nullptr));
+      continue;
+    }
+    size_t src = kNone;
+    for (size_t pj = 0; pj < oi; ++pj) {
+      const size_t cand = order[pj];
+      if (!Subsumes(plan.levels[cand], cols)) continue;
+      if (src == kNone || out[cand]->num_rows() < out[src]->num_rows()) {
+        src = cand;
       }
     }
-    if (own_fill) {
-      SummaryRecipe recipe{cols, specs};
-      summaries->Insert(cache_key, t, generation, &recipe);
+    if (src == kNone) {
+      return Status::Internal("lattice rollup has no source level");
     }
-    out[li].table = std::make_shared<Table>(std::move(t));
+    obs::ScopedTraceNode scope(
+        AddNode(trace, "lattice",
+                "lattice-rollup: level " + LevelName(cols) + " from " +
+                    LevelName(plan.levels[src])));
+    const Table& source = *out[src];
+    PCTAGG_ASSIGN_OR_RETURN(
+        out[li], CachedStep(cache, query.table_name, cols, specs, [&] {
+          return RollUp(source, cols, specs, {}, dop);
+        }));
+  }
+  return out;
+}
+
+Column AvgColumn(const Column& s, const Column& n) {
+  Column cell(DataType::kFloat64);
+  cell.Reserve(s.size());
+  for (size_t r = 0; r < s.size(); ++r) {
+    if (s.IsNull(r) || n.IsNull(r) || n.NumericAt(r) == 0.0) {
+      cell.AppendNull();
+    } else {
+      cell.AppendFloat64(s.NumericAt(r) / n.NumericAt(r));
+    }
+  }
+  return cell;
+}
+
+Column ConstantColumn(DataType type, const Value& v, size_t rows) {
+  Column c(type);
+  c.Reserve(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    if (v.is_null()) {
+      c.AppendNull();
+    } else {
+      (void)c.AppendValue(v);
+    }
+  }
+  return c;
+}
+
+// A Vpct term's totals grouping at one level: the level's columns minus BY
+// (grand total when empty), the analyzer's totals_by read per level.
+std::vector<std::string> TotalsBy(const AnalyzedTerm& term,
+                                  const std::vector<std::string>& cols) {
+  std::vector<std::string> by;
+  if (!term.has_by) return by;
+  for (const std::string& c : cols) {
+    if (!ContainsColumn(term.by_columns, c)) by.push_back(c);
+  }
+  return by;
+}
+
+// Fj for every Vpct term at one level, fine to coarse: each rolls up the
+// smallest already-computed totals table of the same measure whose grouping
+// subsumes its own, else the level itself — the materialized planner's
+// lattice walk, so FLOAT64 totals are summed in the same order.
+Result<std::vector<Table>> LevelTotals(const CorePlan& plan,
+                                       const std::vector<std::string>& cols,
+                                       const Table& level, size_t dop) {
+  const std::vector<AnalyzedTerm>& terms = plan.query->terms;
+  std::vector<Table> out(terms.size());
+  std::vector<std::vector<std::string>> by(terms.size());
+  std::vector<size_t> order;
+  for (size_t ti = 0; ti < terms.size(); ++ti) {
+    if (terms[ti].func != TermFunc::kVpct) continue;
+    by[ti] = TotalsBy(terms[ti], cols);
+    order.push_back(ti);
+  }
+  std::stable_sort(order.begin(), order.end(), [&by](size_t a, size_t b) {
+    return by[a].size() > by[b].size();
+  });
+  for (size_t oi = 0; oi < order.size(); ++oi) {
+    const size_t ti = order[oi];
+    size_t best = kNone;
+    for (size_t pj = 0; pj < oi; ++pj) {
+      const size_t d = order[pj];
+      if (plan.terms[d].main != plan.terms[ti].main) continue;
+      if (!Subsumes(by[d], by[ti])) continue;
+      if (best == kNone || by[d].size() < by[best].size()) best = d;
+    }
+    const Table& src = best == kNone ? level : out[best];
+    const std::string src_col =
+        best == kNone ? plan.pset.name(plan.terms[ti].main) : "__tot";
+    PCTAGG_ASSIGN_OR_RETURN(
+        out[ti],
+        HashAggregate(src, by[ti], {{AggFunc::kSum, Col(src_col), "__tot"}},
+                      dop));
   }
   return out;
 }
@@ -387,120 +561,88 @@ Result<std::vector<LatticeLevel>> ComputeLevels(
 // SELECT-order schema (grouping columns the level rolled away become NULL,
 // GROUPING() becomes its 0/1 id, Vpct divides against the level's own
 // totals), concatenated in statement order.
-Result<Table> AssembleVertical(const AnalyzedQuery& query,
-                               const std::vector<LatticeLevel>& levels,
-                               size_t emitted_count,
-                               const std::vector<TermPlan>& plans,
-                               const PartialSet& pset, size_t dop,
-                               obs::QueryTrace* trace) {
-  obs::TraceNode* node =
-      trace != nullptr
-          ? trace->root().AddChild(
-                "lattice",
-                StrFormat("lattice-assemble: %zu level(s), SELECT-order "
-                          "blocks + GROUPING ids",
-                          emitted_count))
-          : nullptr;
-  obs::ScopedTraceNode scope(node);
+Result<Table> AssembleVertical(
+    const CorePlan& plan, const LevelTables& levels, size_t dop,
+    obs::QueryTrace* trace) {
+  const AnalyzedQuery& query = *plan.query;
+  obs::ScopedTraceNode scope(AddNode(
+      trace, "lattice",
+      StrFormat("lattice-assemble: %zu level(s), SELECT-order blocks + "
+                "GROUPING ids",
+                plan.sets.size())));
   obs::OpScope op("assemble");
   Table out;
-  for (size_t li = 0; li < emitted_count; ++li) {
-    const LatticeLevel& level = levels[li];
-    const Table& t = *level.table;
+  for (size_t li = 0; li < plan.sets.size(); ++li) {
+    const std::vector<std::string>& cols = plan.levels[li];
+    const Table& t = *levels[li];
+    PCTAGG_ASSIGN_OR_RETURN(std::vector<Table> totals,
+                            LevelTotals(plan, cols, t, dop));
     Table block;
     for (size_t ti = 0; ti < query.terms.size(); ++ti) {
       const AnalyzedTerm& term = query.terms[ti];
-      const TermPlan& plan = plans[ti];
+      const TermPlan& tp = plan.terms[ti];
+      Column cell(DataType::kFloat64);
+      DataType type = DataType::kFloat64;
       switch (term.func) {
         case TermFunc::kScalar: {
-          if (ContainsColumn(level.cols, term.scalar_column)) {
-            PCTAGG_ASSIGN_OR_RETURN(size_t c,
-                                    ColIndex(t, term.scalar_column));
-            PCTAGG_RETURN_IF_ERROR(block.AddColumn(
-                {term.output_name, t.schema().column(c).type}, t.column(c)));
+          if (ContainsColumn(cols, term.scalar_column)) {
+            PCTAGG_ASSIGN_OR_RETURN(size_t c, ColIndex(t, term.scalar_column));
+            type = t.schema().column(c).type;
+            cell = t.column(c);
           } else {
-            PCTAGG_ASSIGN_OR_RETURN(size_t fc,
-                                    query.schema.FindColumn(term.scalar_column));
-            Column nulls(query.schema.column(fc).type);
-            nulls.Reserve(t.num_rows());
-            for (size_t r = 0; r < t.num_rows(); ++r) nulls.AppendNull();
-            PCTAGG_RETURN_IF_ERROR(block.AddColumn(
-                {term.output_name, nulls.type()}, std::move(nulls)));
+            PCTAGG_ASSIGN_OR_RETURN(
+                size_t fc, query.schema.FindColumn(term.scalar_column));
+            type = query.schema.column(fc).type;
+            cell = ConstantColumn(type, Value::Null(), t.num_rows());
           }
           break;
         }
-        case TermFunc::kGrouping: {
-          const int64_t id =
-              ContainsColumn(level.cols, term.scalar_column) ? 0 : 1;
-          Column g(DataType::kInt64);
-          g.Reserve(t.num_rows());
-          for (size_t r = 0; r < t.num_rows(); ++r) g.AppendInt64(id);
-          PCTAGG_RETURN_IF_ERROR(block.AddColumn(
-              {term.output_name, DataType::kInt64}, std::move(g)));
+        case TermFunc::kGrouping:
+          type = DataType::kInt64;
+          cell = ConstantColumn(
+              type,
+              Value::Int64(ContainsColumn(cols, term.scalar_column) ? 0 : 1),
+              t.num_rows());
           break;
-        }
         case TermFunc::kVpct: {
-          // The level's own totals: its columns minus BY (grand total when
-          // empty), matching the analyzer's totals_by reading per level.
-          const std::string& sum_col = pset.name(plan.main);
-          PCTAGG_ASSIGN_OR_RETURN(size_t sc, ColIndex(t, sum_col));
-          std::vector<std::string> totals_by;
-          if (term.has_by) {
-            for (const std::string& c : level.cols) {
-              if (!ContainsColumn(term.by_columns, c)) totals_by.push_back(c);
-            }
-          }
-          std::vector<AggSpec> tot_aggs = {
-              {AggFunc::kSum, Col(sum_col), "__tot"}};
-          PCTAGG_ASSIGN_OR_RETURN(Table tot,
-                                  HashAggregate(t, totals_by, tot_aggs, dop));
-          Column cell(DataType::kFloat64);
-          if (totals_by.empty()) {
-            if (tot.num_rows() != 1) {
+          PCTAGG_ASSIGN_OR_RETURN(size_t sc,
+                                  ColIndex(t, plan.pset.name(tp.main)));
+          const Table& fj = totals[ti];
+          const std::vector<std::string> by = TotalsBy(term, cols);
+          if (by.empty()) {
+            if (fj.num_rows() != 1) {
               return Status::Internal(
-                  "lattice grand-total table must have exactly one row");
+                  "grand-total table must have exactly one row");
             }
-            PCTAGG_ASSIGN_OR_RETURN(size_t tc, ColIndex(tot, "__tot"));
             PCTAGG_ASSIGN_OR_RETURN(
                 cell,
-                PercentDivideScalar(t.column(sc), tot.column(tc).GetValue(0)));
+                PercentDivideScalar(t.column(sc), fj.column(0).GetValue(0)));
           } else {
             PCTAGG_ASSIGN_OR_RETURN(
-                Column totals, LookupColumn(t, tot, totals_by, totals_by,
-                                            "__tot", nullptr));
-            PCTAGG_ASSIGN_OR_RETURN(
-                cell, PercentDivideColumns(t.column(sc), totals));
+                Column tot, LookupColumn(t, fj, by, by, "__tot", nullptr));
+            PCTAGG_ASSIGN_OR_RETURN(cell,
+                                    PercentDivideColumns(t.column(sc), tot));
           }
-          PCTAGG_RETURN_IF_ERROR(block.AddColumn(
-              {term.output_name, DataType::kFloat64}, std::move(cell)));
           break;
         }
         case TermFunc::kAvg: {
-          PCTAGG_ASSIGN_OR_RETURN(size_t sc, ColIndex(t, pset.name(plan.main)));
+          PCTAGG_ASSIGN_OR_RETURN(size_t sc,
+                                  ColIndex(t, plan.pset.name(tp.main)));
           PCTAGG_ASSIGN_OR_RETURN(size_t cc,
-                                  ColIndex(t, pset.name(plan.count)));
-          const Column& s = t.column(sc);
-          const Column& n = t.column(cc);
-          Column cell(DataType::kFloat64);
-          cell.Reserve(t.num_rows());
-          for (size_t r = 0; r < t.num_rows(); ++r) {
-            if (s.IsNull(r) || n.IsNull(r) || n.NumericAt(r) == 0.0) {
-              cell.AppendNull();
-            } else {
-              cell.AppendFloat64(s.NumericAt(r) / n.NumericAt(r));
-            }
-          }
-          PCTAGG_RETURN_IF_ERROR(block.AddColumn(
-              {term.output_name, DataType::kFloat64}, std::move(cell)));
+                                  ColIndex(t, plan.pset.name(tp.count)));
+          cell = AvgColumn(t.column(sc), t.column(cc));
           break;
         }
         default: {
-          PCTAGG_ASSIGN_OR_RETURN(size_t c, ColIndex(t, pset.name(plan.main)));
-          PCTAGG_RETURN_IF_ERROR(block.AddColumn(
-              {term.output_name, t.schema().column(c).type}, t.column(c)));
+          PCTAGG_ASSIGN_OR_RETURN(size_t c,
+                                  ColIndex(t, plan.pset.name(tp.main)));
+          type = t.schema().column(c).type;
+          cell = t.column(c);
           break;
         }
       }
+      PCTAGG_RETURN_IF_ERROR(
+          block.AddColumn({term.output_name, type}, std::move(cell)));
     }
     if (li == 0) {
       out = std::move(block);
@@ -509,7 +651,7 @@ Result<Table> AssembleVertical(const AnalyzedQuery& query,
     }
   }
   op.SetRows(out.num_rows(), out.num_rows());
-  op.SetDetail("levels=" + std::to_string(emitted_count));
+  op.SetDetail("levels=" + std::to_string(plan.sets.size()));
   return out;
 }
 
@@ -518,552 +660,362 @@ Result<Table> AssembleVertical(const AnalyzedQuery& query,
 // grouping columns (NULL where rolled away) + GROUPING() ids + the union of
 // all pivot columns + the extra aggregates.
 Result<Table> AssembleHorizontal(
-    const AnalyzedQuery& query, const std::vector<LatticeLevel>& levels,
-    const std::vector<std::vector<std::string>>& emitted_sets,
-    const HorizontalPlan& plan, const PartialSet& pset, size_t dop,
+    const CorePlan& plan, const LevelTables& levels, size_t dop,
     obs::QueryTrace* trace) {
-  const size_t emitted_count = emitted_sets.size();
+  const AnalyzedQuery& query = *plan.query;
+  const HorizontalPlan& h = plan.horizontal;
   PivotOptions popt;
-  popt.func = plan.pivot_func;
-  popt.default_zero = plan.hterm->has_default;
-  popt.percent_of_group_total = plan.is_pct;
+  popt.func = h.pivot_func;
+  popt.default_zero = h.hterm->has_default;
+  popt.percent_of_group_total = h.is_pct;
+  std::vector<AggSpec> extra_partials;
+  for (size_t p : h.extra_partials) {
+    extra_partials.push_back(plan.pset.specs()[p]);
+  }
 
   struct LevelBlock {
     const std::vector<std::string>* set;
     Table pivot;
-    std::vector<std::string> pivot_names;
     Table extras;
-    bool has_extras = false;
+    size_t rows = 0;
   };
-  std::vector<LevelBlock> blocks;
-  blocks.reserve(emitted_count);
-  for (size_t li = 0; li < emitted_count; ++li) {
-    const Table& t = *levels[li].table;
-    const std::vector<std::string>& set = emitted_sets[li];
-    LevelBlock b;
-    b.set = &set;
+  std::vector<LevelBlock> blocks(plan.sets.size());
+  for (size_t li = 0; li < plan.sets.size(); ++li) {
+    const Table& t = *levels[li];
+    LevelBlock& b = blocks[li];
+    b.set = &plan.sets[li];
     {
-      obs::TraceNode* node =
-          trace != nullptr
-              ? trace->root().AddChild(
-                    "lattice",
-                    "lattice-pivot: level " + LevelName(set) + " " +
-                        std::string(AggFuncName(popt.func)) + "(" +
-                        pset.name(plan.main) + ") BY " +
-                        Join(plan.hterm->by_columns, ", ") +
-                        (plan.is_pct ? " percent-of-group-total" : ""))
-              : nullptr;
-      obs::ScopedTraceNode scope(node);
+      obs::ScopedTraceNode scope(AddNode(
+          trace, "lattice",
+          "lattice-pivot: level " + LevelName(*b.set) + " " +
+              std::string(AggFuncName(popt.func)) + "(" +
+              plan.pset.name(h.main) + ") BY " +
+              Join(h.hterm->by_columns, ", ") +
+              (h.is_pct ? " percent-of-group-total" : "")));
       PCTAGG_ASSIGN_OR_RETURN(
-          b.pivot, HashDispatchPivot(t, set, plan.hterm->by_columns,
-                                     Col(pset.name(plan.main)), popt, dop));
+          b.pivot, HashDispatchPivot(t, *b.set, h.hterm->by_columns,
+                                     Col(plan.pset.name(h.main)), popt, dop));
     }
-    for (size_t c = set.size(); c < b.pivot.num_columns(); ++c) {
-      b.pivot_names.push_back(b.pivot.schema().column(c).name);
-    }
-    if (!plan.extras.empty()) {
-      // Both the pivot and this re-aggregation emit groups in first-seen
-      // order over the same partial table, so the rows align positionally.
-      std::vector<AggSpec> reagg;
-      for (const HorizontalPlan::Extra& e : plan.extras) {
-        reagg.push_back({pset.partials()[e.main].combine,
-                         Col(pset.name(e.main)), pset.name(e.main)});
-        if (e.count != kNone) {
-          reagg.push_back(
-              {AggFunc::kSum, Col(pset.name(e.count)), pset.name(e.count)});
-        }
-      }
-      PCTAGG_ASSIGN_OR_RETURN(b.extras, HashAggregate(t, set, reagg, dop));
-      if (b.extras.num_rows() != b.pivot.num_rows()) {
+    b.rows = b.pivot.num_rows();
+    if (h.extras.empty()) continue;
+    // Both the pivot and this re-aggregation emit groups in first-seen
+    // order over the same partial table, so the rows align positionally.
+    PCTAGG_ASSIGN_OR_RETURN(b.extras,
+                            RollUp(t, *b.set, extra_partials, {}, dop));
+    if (b.extras.num_rows() != b.rows) {
+      // The global () level over an empty input: the pivot has no BY
+      // values and so no rows, while the extras keep their single global
+      // row — the one row the materialized global Hpct returns.
+      if (!b.set->empty() || b.rows != 0 || b.extras.num_rows() != 1) {
         return Status::Internal("lattice extras misaligned with pivot block");
       }
-      b.has_extras = true;
+      b.rows = 1;
     }
-    blocks.push_back(std::move(b));
   }
 
   // Union of the per-level pivot columns, in first-appearance order across
   // blocks. Every level sees the same BY combinations of the (filtered) fact
   // in the same first-seen order, so this matches each block's own order; the
   // union form only matters if a level's pivot came up empty.
-  std::vector<std::string> master;
-  std::vector<DataType> master_types;
+  std::vector<ColumnDef> master;
   for (const LevelBlock& b : blocks) {
-    for (size_t i = 0; i < b.pivot_names.size(); ++i) {
-      if (ContainsColumn(master, b.pivot_names[i])) continue;
-      master.push_back(b.pivot_names[i]);
-      master_types.push_back(
-          b.pivot.schema().column(b.set->size() + i).type);
+    for (size_t c = b.set->size(); c < b.pivot.num_columns(); ++c) {
+      const ColumnDef& def = b.pivot.schema().column(c);
+      bool seen = false;
+      for (const ColumnDef& m : master) {
+        seen |= EqualsIgnoreCase(m.name, def.name);
+      }
+      if (!seen) master.push_back(def);
     }
   }
 
-  obs::TraceNode* node =
-      trace != nullptr
-          ? trace->root().AddChild(
-                "lattice",
-                StrFormat("lattice-assemble: %zu level(s), %zu pivot "
-                          "column(s) + GROUPING ids",
-                          emitted_count, master.size()))
-          : nullptr;
-  obs::ScopedTraceNode scope(node);
+  obs::ScopedTraceNode scope(AddNode(
+      trace, "lattice",
+      StrFormat("lattice-assemble: %zu level(s), %zu pivot column(s) + "
+                "GROUPING ids",
+                blocks.size(), master.size())));
   obs::OpScope op("assemble");
-
-  Schema schema;
-  for (const std::string& g : query.group_by) {
-    PCTAGG_ASSIGN_OR_RETURN(size_t fc, query.schema.FindColumn(g));
-    schema.AddColumn(query.schema.column(fc));
-  }
-  std::vector<const AnalyzedTerm*> grouping_terms;
-  for (const AnalyzedTerm& term : query.terms) {
-    if (term.func != TermFunc::kGrouping) continue;
-    schema.AddColumn({term.output_name, DataType::kInt64});
-    grouping_terms.push_back(&term);
-  }
-  for (size_t i = 0; i < master.size(); ++i) {
-    schema.AddColumn({master[i], master_types[i]});
-  }
-  for (const HorizontalPlan::Extra& e : plan.extras) {
-    DataType type = DataType::kFloat64;
-    if (e.count == kNone) {
-      PCTAGG_ASSIGN_OR_RETURN(size_t c,
-                              ColIndex(blocks[0].extras, pset.name(e.main)));
-      type = blocks[0].extras.schema().column(c).type;
-    }
-    schema.AddColumn({e.term->output_name, type});
-  }
-
-  Table out{schema};
-  for (const LevelBlock& b : blocks) {
-    const std::vector<std::string>& set = *b.set;
-    std::vector<size_t> group_at(query.group_by.size(), kNone);
-    for (size_t gi = 0; gi < query.group_by.size(); ++gi) {
-      for (size_t si = 0; si < set.size(); ++si) {
-        if (EqualsIgnoreCase(set[si], query.group_by[gi])) group_at[gi] = si;
-      }
-    }
-    std::vector<size_t> pivot_at(master.size(), kNone);
-    for (size_t i = 0; i < b.pivot_names.size(); ++i) {
-      for (size_t mi = 0; mi < master.size(); ++mi) {
-        if (EqualsIgnoreCase(master[mi], b.pivot_names[i])) {
-          pivot_at[mi] = set.size() + i;
-          break;
-        }
-      }
-    }
-    std::vector<size_t> extra_main(plan.extras.size(), kNone);
-    std::vector<size_t> extra_count(plan.extras.size(), kNone);
-    if (b.has_extras) {
-      for (size_t ei = 0; ei < plan.extras.size(); ++ei) {
-        PCTAGG_ASSIGN_OR_RETURN(
-            extra_main[ei], ColIndex(b.extras, pset.name(plan.extras[ei].main)));
-        if (plan.extras[ei].count != kNone) {
-          PCTAGG_ASSIGN_OR_RETURN(
-              extra_count[ei],
-              ColIndex(b.extras, pset.name(plan.extras[ei].count)));
-        }
-      }
-    }
-    for (size_t r = 0; r < b.pivot.num_rows(); ++r) {
-      std::vector<Value> row;
-      row.reserve(schema.num_columns());
-      for (size_t gi = 0; gi < query.group_by.size(); ++gi) {
-        row.push_back(group_at[gi] == kNone
-                          ? Value::Null()
-                          : b.pivot.column(group_at[gi]).GetValue(r));
-      }
-      for (const AnalyzedTerm* gt : grouping_terms) {
-        row.push_back(
-            Value::Int64(ContainsColumn(set, gt->scalar_column) ? 0 : 1));
-      }
-      for (size_t mi = 0; mi < master.size(); ++mi) {
-        if (pivot_at[mi] == kNone) {
-          row.push_back(!popt.default_zero ? Value::Null()
-                        : master_types[mi] == DataType::kInt64
-                            ? Value::Int64(0)
-                            : Value::Float64(0.0));
-        } else {
-          row.push_back(b.pivot.column(pivot_at[mi]).GetValue(r));
-        }
-      }
-      for (size_t ei = 0; ei < plan.extras.size(); ++ei) {
-        if (plan.extras[ei].count != kNone) {
-          const Column& s = b.extras.column(extra_main[ei]);
-          const Column& n = b.extras.column(extra_count[ei]);
-          if (s.IsNull(r) || n.IsNull(r) || n.NumericAt(r) == 0.0) {
-            row.push_back(Value::Null());
-          } else {
-            row.push_back(Value::Float64(s.NumericAt(r) / n.NumericAt(r)));
+  Table out;
+  for (size_t bi = 0; bi < blocks.size(); ++bi) {
+    const LevelBlock& b = blocks[bi];
+    // Copies pivot column `name` when this block has it, else a constant.
+    auto pivot_column = [&b](const std::string& name, DataType type,
+                             const Value& missing) -> Column {
+      if (b.pivot.num_rows() == b.rows) {
+        for (size_t c = 0; c < b.pivot.num_columns(); ++c) {
+          if (EqualsIgnoreCase(b.pivot.schema().column(c).name, name)) {
+            return b.pivot.column(c);
           }
-        } else {
-          row.push_back(b.extras.column(extra_main[ei]).GetValue(r));
         }
       }
-      PCTAGG_RETURN_IF_ERROR(out.AppendRow(row));
+      return ConstantColumn(type, missing, b.rows);
+    };
+    Table block;
+    for (const std::string& g : query.group_by) {
+      PCTAGG_ASSIGN_OR_RETURN(size_t fc, query.schema.FindColumn(g));
+      const ColumnDef& def = query.schema.column(fc);
+      PCTAGG_RETURN_IF_ERROR(block.AddColumn(
+          def, ContainsColumn(*b.set, g)
+                   ? pivot_column(g, def.type, Value::Null())
+                   : ConstantColumn(def.type, Value::Null(), b.rows)));
+    }
+    for (const AnalyzedTerm& term : query.terms) {
+      if (term.func != TermFunc::kGrouping) continue;
+      PCTAGG_RETURN_IF_ERROR(block.AddColumn(
+          {term.output_name, DataType::kInt64},
+          ConstantColumn(
+              DataType::kInt64,
+              Value::Int64(ContainsColumn(*b.set, term.scalar_column) ? 0 : 1),
+              b.rows)));
+    }
+    for (const ColumnDef& m : master) {
+      const Value missing = !popt.default_zero ? Value::Null()
+                            : m.type == DataType::kInt64
+                                ? Value::Int64(0)
+                                : Value::Float64(0.0);
+      PCTAGG_RETURN_IF_ERROR(
+          block.AddColumn(m, pivot_column(m.name, m.type, missing)));
+    }
+    for (const HorizontalPlan::Extra& e : h.extras) {
+      PCTAGG_ASSIGN_OR_RETURN(size_t mc,
+                              ColIndex(b.extras, plan.pset.name(e.main)));
+      if (e.count != kNone) {
+        PCTAGG_ASSIGN_OR_RETURN(size_t cc,
+                                ColIndex(b.extras, plan.pset.name(e.count)));
+        PCTAGG_RETURN_IF_ERROR(block.AddColumn(
+            {e.term->output_name, DataType::kFloat64},
+            AvgColumn(b.extras.column(mc), b.extras.column(cc))));
+      } else {
+        PCTAGG_RETURN_IF_ERROR(block.AddColumn(
+            {e.term->output_name, b.extras.schema().column(mc).type},
+            b.extras.column(mc)));
+      }
+    }
+    if (bi == 0) {
+      out = std::move(block);
+    } else {
+      PCTAGG_RETURN_IF_ERROR(InsertInto(&out, block));
     }
   }
   op.SetRows(out.num_rows(), out.num_rows());
-  op.SetDetail("levels=" + std::to_string(emitted_count));
+  op.SetDetail("levels=" + std::to_string(blocks.size()));
   return out;
 }
 
-// The requested levels plus, when the union itself was not among them, a
-// synthetic finest level that only feeds rollups (computed and cached, never
-// emitted).
-std::vector<std::vector<std::string>> LevelsWithFinest(
-    const AnalyzedQuery& query) {
-  std::vector<std::vector<std::string>> sets = query.grouping_sets;
-  for (const std::vector<std::string>& s : sets) {
-    // Levels are normalized subsets of the union, so size equality means
-    // equality.
-    if (s.size() == query.group_by.size()) return sets;
-  }
-  sets.push_back(query.group_by);
-  return sets;
+Result<Table> ExecuteCore(const CorePlan& plan, const Table& fact,
+                          SummaryCache* summaries, obs::QueryTrace* trace,
+                          size_t dop, bool shared_scan,
+                          std::shared_ptr<const Table> finest,
+                          bool* from_cache) {
+  PCTAGG_ASSIGN_OR_RETURN(
+      LevelTables levels,
+      ComputeLevels(plan, fact, summaries, trace, dop, shared_scan,
+                    std::move(finest), from_cache));
+  return plan.horizontal.hterm != nullptr
+             ? AssembleHorizontal(plan, levels, dop, trace)
+             : AssembleVertical(plan, levels, dop, trace);
 }
 
 }  // namespace
 
-bool LatticeSupported(const AnalyzedQuery& query, std::string* why) {
+std::string RenderStage(const std::vector<std::string>& group_by,
+                        const std::vector<AggSpec>& aggs,
+                        const std::string& from, const ExprPtr& where) {
+  std::vector<std::string> cols = group_by;
+  for (std::string& a : RenderEach(aggs)) cols.push_back(std::move(a));
+  std::string sql = "SELECT " + Join(cols, ", ") + " FROM " + from;
+  if (where != nullptr) sql += " WHERE " + where->ToString();
+  if (!group_by.empty()) sql += " GROUP BY " + Join(group_by, ", ");
+  return sql;
+}
+
+bool PartialPlanSupported(const AnalyzedQuery& query, std::string* why) {
   auto fail = [why](const std::string& msg) {
     if (why != nullptr) *why = msg;
     return false;
   };
-  if (!query.has_grouping_sets) return fail("not a grouping-sets query");
-  if (query.query_class == QueryClass::kWindow) {
-    return fail("window functions cannot be combined with grouping sets");
-  }
-  size_t by_terms = 0;
-  for (const AnalyzedTerm& t : query.terms) {
-    if (t.func == TermFunc::kScalar || t.func == TermFunc::kGrouping) continue;
-    if (t.distinct) {
-      return fail("count(DISTINCT ...) is not supported with grouping sets");
-    }
-    if (t.func == TermFunc::kVpct) continue;
-    if (t.has_by) {
-      ++by_terms;
-      if (t.func == TermFunc::kAvg) {
-        return fail(
-            "avg(... BY ...) is not distributive over the lattice; use "
-            "sum and count terms instead");
-      }
-      if (t.func != TermFunc::kHpct && !TermAggFunc(t.func).ok()) {
-        return fail("unsupported horizontal aggregate with grouping sets");
-      }
-    } else if (!TermAggFunc(t.func).ok()) {
-      return fail("unsupported aggregate with grouping sets");
-    }
-  }
-  if (query.query_class == QueryClass::kHorizontal && by_terms != 1) {
-    return fail(
-        "grouping sets support exactly one horizontal (BY) term per "
-        "statement");
-  }
-  return true;
-}
-
-Result<Table> ExecuteLatticeQuery(const AnalyzedQuery& query, const Table& fact,
-                                  SummaryCache* summaries,
-                                  obs::QueryTrace* trace, size_t dop,
-                                  bool shared_scan) {
-  std::string why;
-  if (!LatticeSupported(query, &why)) {
-    return Status::InvalidArgument("grouping sets: " + why);
-  }
-  const std::vector<std::vector<std::string>> sets = LevelsWithFinest(query);
-  const size_t emitted_count = query.grouping_sets.size();
-
-  if (query.query_class == QueryClass::kHorizontal) {
-    PartialSet pset;
-    HorizontalPlan plan;
-    PCTAGG_RETURN_IF_ERROR(BuildHorizontalPartials(query, &pset, &plan));
-    std::vector<std::vector<std::string>> level_cols;
-    level_cols.reserve(sets.size());
-    for (const std::vector<std::string>& s : sets) {
-      std::vector<std::string> cols = s;
-      cols.insert(cols.end(), plan.hterm->by_columns.begin(),
-                  plan.hterm->by_columns.end());
-      level_cols.push_back(std::move(cols));
-    }
-    PCTAGG_ASSIGN_OR_RETURN(
-        std::vector<LatticeLevel> levels,
-        ComputeLevels(query, fact, level_cols, pset, summaries, trace, dop,
-                      shared_scan));
-    return AssembleHorizontal(query, levels, query.grouping_sets, plan, pset,
-                              dop, trace);
-  }
-
-  PartialSet pset;
-  std::vector<TermPlan> plans;
-  PCTAGG_RETURN_IF_ERROR(BuildVerticalPartials(query, &pset, &plans));
-  PCTAGG_ASSIGN_OR_RETURN(
-      std::vector<LatticeLevel> levels,
-      ComputeLevels(query, fact, sets, pset, summaries, trace, dop,
-                    shared_scan));
-  return AssembleVertical(query, levels, emitted_count, plans, pset, dop,
-                          trace);
-}
-
-bool DistributedSupported(const AnalyzedQuery& query, std::string* why) {
-  auto fail = [why](const std::string& msg) {
-    if (why != nullptr) *why = msg;
-    return false;
-  };
-  if (query.has_grouping_sets) return LatticeSupported(query, why);
+  // Grouping-set queries have no other evaluator and keep their own wording;
+  // plain queries surface these reasons only when sharded.
+  const bool sets = query.has_grouping_sets;
   if (query.query_class == QueryClass::kProjection) {
     return fail("projection queries have no distributive partials");
   }
   if (query.query_class == QueryClass::kWindow) {
-    return fail("window functions are not distributed");
+    return fail(sets ? "window functions cannot be combined with grouping sets"
+                     : "window functions are not distributed");
   }
   size_t by_terms = 0;
   for (const AnalyzedTerm& t : query.terms) {
     if (t.func == TermFunc::kScalar || t.func == TermFunc::kGrouping) continue;
     if (t.distinct) {
-      return fail("count(DISTINCT ...) is not distributive across shards");
+      return fail(sets ? "count(DISTINCT ...) is not supported with grouping "
+                         "sets"
+                       : "count(DISTINCT ...) is not distributive across "
+                         "shards");
     }
-    if (t.func == TermFunc::kVpct) continue;
-    if (t.has_by) {
-      ++by_terms;
-      if (t.func == TermFunc::kAvg) {
-        return fail(
-            "avg(... BY ...) is not distributive across shards; use sum "
-            "and count terms instead");
-      }
-      if (t.func != TermFunc::kHpct && !TermAggFunc(t.func).ok()) {
-        return fail("unsupported horizontal aggregate for distributed "
-                    "execution");
-      }
-    } else if (!TermAggFunc(t.func).ok()) {
-      return fail("unsupported aggregate for distributed execution");
+    if (t.func == TermFunc::kVpct || !t.has_by) continue;
+    ++by_terms;
+    if (t.func == TermFunc::kAvg) {
+      return fail(std::string("avg(... BY ...) is not distributive ") +
+                  (sets ? "over the lattice" : "across shards") +
+                  "; use sum and count terms instead");
     }
   }
   if (query.query_class == QueryClass::kHorizontal && by_terms != 1) {
-    return fail(
-        "distributed execution supports exactly one horizontal (BY) term "
-        "per statement");
+    return fail(sets ? "grouping sets support exactly one horizontal (BY) "
+                       "term per statement"
+                     : "distributed execution supports exactly one "
+                       "horizontal (BY) term per statement");
   }
   return true;
 }
 
+Result<Table> ExecutePartialPlan(const AnalyzedQuery& query, const Table& fact,
+                                 SummaryCache* summaries,
+                                 obs::QueryTrace* trace, size_t dop,
+                                 bool shared_scan, bool* from_cache) {
+  PCTAGG_RETURN_IF_ERROR(Unsupported(
+      query, query.has_grouping_sets ? "grouping sets" : "partial plan"));
+  PCTAGG_ASSIGN_OR_RETURN(CorePlan plan, BuildCorePlan(query));
+  return ExecuteCore(plan, fact, summaries, trace, dop, shared_scan, nullptr,
+                     from_cache);
+}
+
+bool PartialPlanCached(const AnalyzedQuery& query, SummaryCache* summaries) {
+  if (summaries == nullptr || query.where != nullptr ||
+      !PartialPlanSupported(query)) {
+    return false;
+  }
+  Result<CorePlan> plan = BuildCorePlan(query);
+  return plan.ok() &&
+         FindCachedAncestor(summaries, query.table_name,
+                            plan->levels[plan->finest], plan->pset.specs())
+             .has_value();
+}
+
+std::string RenderPartialPlan(const AnalyzedQuery& query, bool shared_scan,
+                              SummaryCache* summaries) {
+  std::string why;
+  if (!PartialPlanSupported(query, &why)) {
+    return "-- unsupported: " + why + "\n";
+  }
+  Result<CorePlan> built = BuildCorePlan(query);
+  if (!built.ok()) {
+    return "-- plan unavailable: " + built.status().message() + "\n";
+  }
+  const CorePlan& plan = *built;
+  const std::vector<AggSpec>& specs = plan.pset.specs();
+  const std::vector<std::string>& finest = plan.levels[plan.finest];
+
+  std::string out =
+      query.has_grouping_sets
+          ? StrFormat("-- grouping-set lattice: %zu level(s) over union %s; "
+                      "strategy: %s\n",
+                      plan.sets.size(), LevelName(query.group_by).c_str(),
+                      shared_scan ? "shared-scan rollup"
+                                  : "per-level recompute")
+          : "-- partial-summary plan: one level " + LevelName(finest) + "\n";
+  std::optional<CachedAncestor> anc;
+  if (shared_scan && summaries != nullptr && query.where == nullptr) {
+    anc = FindCachedAncestor(summaries, query.table_name, finest, specs);
+  }
+  std::vector<size_t> order(plan.levels.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&plan](size_t a, size_t b) {
+    return plan.levels[a].size() > plan.levels[b].size();
+  });
+  for (size_t oi = 0; oi < order.size(); ++oi) {
+    const std::vector<std::string>& cols = plan.levels[order[oi]];
+    if (oi == 0 && anc.has_value()) {
+      out += (anc->exact ? "cache: " : "cache-ancestor: ") +
+             RenderStage(cols, CombineSpecs(specs),
+                         "cached" + LevelName(anc->entry.recipe.group_by),
+                         nullptr) +
+             ";\n";
+    } else if (oi == 0 || !shared_scan) {
+      out += "scan: " +
+             RenderStage(cols, specs, query.table_name, query.where) + ";\n";
+    } else {
+      out += "rollup: " +
+             RenderStage(cols, CombineSpecs(specs),
+                         "lattice" + LevelName(finest), nullptr) +
+             ";\n";
+    }
+  }
+  if (plan.horizontal.hterm != nullptr) {
+    out += "-- assemble: pivot " + plan.pset.name(plan.horizontal.main) +
+           " BY " + Join(plan.horizontal.hterm->by_columns, ", ") +
+           (plan.horizontal.is_pct ? " as percent of group total" : "") +
+           " per level";
+  } else {
+    out += "-- assemble: SELECT-order columns per level, Vpct divides by "
+           "totals rolled up fine to coarse";
+  }
+  out += query.has_grouping_sets
+             ? " + GROUPING() ids, blocks concatenated in statement order\n"
+             : "\n";
+  return out;
+}
+
+Result<std::shared_ptr<const Table>> ScanPartials(
+    const std::string& table_name, const Table& fact, const ExprPtr& where,
+    const std::vector<std::string>& cols, const std::vector<AggSpec>& partials,
+    SummaryCache* summaries, size_t dop) {
+  return ScanLevel(table_name, fact, where, cols, partials, summaries,
+                   /*trace=*/nullptr, dop, /*allow_ancestor=*/true,
+                   /*from_cache=*/nullptr);
+}
+
+Result<Table> AssembleFromAncestor(const AnalyzedQuery& query,
+                                   const Table& ancestor,
+                                   const SummaryRecipe& recipe,
+                                   obs::QueryTrace* trace, size_t dop) {
+  PCTAGG_RETURN_IF_ERROR(Unsupported(query, "partial plan"));
+  PCTAGG_ASSIGN_OR_RETURN(CorePlan plan, BuildCorePlan(query));
+  const std::vector<std::string>& cols = plan.levels[plan.finest];
+  std::vector<std::string> from;
+  if (!Subsumes(recipe.group_by, cols) ||
+      !MatchPartials(plan.pset.specs(), recipe.aggs, &from)) {
+    return Status::Internal("ancestor partials do not cover the plan");
+  }
+  std::shared_ptr<const Table> finest;
+  {
+    obs::ScopedTraceNode scope(
+        AddNode(trace, "mqo",
+                "mqo-rollup: level " + LevelName(cols) + " from batch " +
+                    LevelName(recipe.group_by)));
+    PCTAGG_ASSIGN_OR_RETURN(
+        Table t, RollUp(ancestor, cols, plan.pset.specs(), from, dop));
+    finest = Share(std::move(t));
+  }
+  const Table no_fact;  // never scanned: the finest level is given
+  return ExecuteCore(plan, no_fact, nullptr, trace, dop, /*shared_scan=*/true,
+                     std::move(finest), nullptr);
+}
+
 Result<DistPartialPlan> BuildDistributedPartialPlan(
     const AnalyzedQuery& query) {
-  std::string why;
-  if (!DistributedSupported(query, &why)) {
-    return Status::InvalidArgument("distributed: " + why);
-  }
-  PartialSet pset;
-  std::vector<std::string> by;
-  if (query.query_class == QueryClass::kHorizontal) {
-    HorizontalPlan hplan;
-    PCTAGG_RETURN_IF_ERROR(BuildHorizontalPartials(query, &pset, &hplan));
-    by = hplan.hterm->by_columns;
-  } else {
-    std::vector<TermPlan> plans;
-    PCTAGG_RETURN_IF_ERROR(BuildVerticalPartials(query, &pset, &plans));
-  }
-  DistPartialPlan plan;
-  plan.finest_cols = query.group_by;
-  plan.finest_cols.insert(plan.finest_cols.end(), by.begin(), by.end());
-  plan.partials = pset.Specs();
-  plan.combine = pset.CombineSpecs();
-
-  std::vector<std::string> cols = plan.finest_cols;
-  for (const AggSpec& a : plan.partials) {
-    std::string arg = a.func == AggFunc::kCountStar ? "*" : a.input->ToString();
-    cols.push_back(std::string(AggFuncName(a.func)) + "(" + arg + ") AS " +
-                   a.output_name);
-  }
-  plan.partial_sql = "SELECT " + Join(cols, ", ") + " FROM " + query.table_name;
-  if (query.where != nullptr) {
-    plan.partial_sql += " WHERE " + query.where->ToString();
-  }
-  if (!plan.finest_cols.empty()) {
-    plan.partial_sql += " GROUP BY " + Join(plan.finest_cols, ", ");
-  }
-  return plan;
+  PCTAGG_RETURN_IF_ERROR(Unsupported(query, "distributed"));
+  PCTAGG_ASSIGN_OR_RETURN(CorePlan plan, BuildCorePlan(query));
+  DistPartialPlan dp;
+  dp.finest_cols = plan.levels[plan.finest];
+  dp.partials = plan.pset.specs();
+  dp.combine = CombineSpecs(dp.partials);
+  dp.partial_sql =
+      RenderStage(dp.finest_cols, dp.partials, query.table_name, query.where);
+  return dp;
 }
 
 Result<Table> AssembleFromPartials(const AnalyzedQuery& query,
                                    std::shared_ptr<const Table> finest,
                                    obs::QueryTrace* trace, size_t dop) {
-  std::string why;
-  if (!DistributedSupported(query, &why)) {
-    return Status::InvalidArgument("distributed: " + why);
-  }
-  const Table no_fact;  // never scanned: the finest level is the override
-  const std::vector<std::vector<std::string>> emitted =
-      query.has_grouping_sets
-          ? query.grouping_sets
-          : std::vector<std::vector<std::string>>{query.group_by};
-  const std::vector<std::vector<std::string>> sets =
-      query.has_grouping_sets ? LevelsWithFinest(query) : emitted;
-
-  if (query.query_class == QueryClass::kHorizontal) {
-    PartialSet pset;
-    HorizontalPlan plan;
-    PCTAGG_RETURN_IF_ERROR(BuildHorizontalPartials(query, &pset, &plan));
-    std::vector<std::vector<std::string>> level_cols;
-    level_cols.reserve(sets.size());
-    for (const std::vector<std::string>& s : sets) {
-      std::vector<std::string> cols = s;
-      cols.insert(cols.end(), plan.hterm->by_columns.begin(),
-                  plan.hterm->by_columns.end());
-      level_cols.push_back(std::move(cols));
-    }
-    PCTAGG_ASSIGN_OR_RETURN(
-        std::vector<LatticeLevel> levels,
-        ComputeLevels(query, no_fact, level_cols, pset, nullptr, trace, dop,
-                      /*shared_scan=*/true, std::move(finest)));
-    return AssembleHorizontal(query, levels, emitted, plan, pset, dop, trace);
-  }
-
-  PartialSet pset;
-  std::vector<TermPlan> plans;
-  PCTAGG_RETURN_IF_ERROR(BuildVerticalPartials(query, &pset, &plans));
-  PCTAGG_ASSIGN_OR_RETURN(
-      std::vector<LatticeLevel> levels,
-      ComputeLevels(query, no_fact, sets, pset, nullptr, trace, dop,
-                    /*shared_scan=*/true, std::move(finest)));
-  return AssembleVertical(query, levels, emitted.size(), plans, pset, dop,
-                          trace);
-}
-
-Result<Table> AnswerFromCachedAncestor(const AnalyzedQuery& query,
-                                       SummaryCache* summaries,
-                                       obs::QueryTrace* trace, size_t dop,
-                                       bool* answered) {
-  *answered = false;
-  Table none;
-  if (summaries == nullptr || query.has_grouping_sets ||
-      query.where != nullptr ||
-      query.query_class != QueryClass::kVertical) {
-    return none;
-  }
-  for (const AnalyzedTerm& t : query.terms) {
-    if (t.distinct) return none;
-  }
-  PartialSet pset;
-  std::vector<TermPlan> plans;
-  if (!BuildVerticalPartials(query, &pset, &plans).ok()) return none;
-
-  // Identify partials by the same (func, argument) rendering PartialSet
-  // dedups on, so a recipe written by any planner matches.
-  auto render_key = [](AggFunc func, const ExprPtr& arg) {
-    return std::string(AggFuncName(func)) + "(" +
-           (func == AggFunc::kCountStar ? "*" : arg->ToString()) + ")";
-  };
-  const std::vector<SummaryCache::AncestorCandidate> candidates =
-      summaries->MergeableEntriesFor(query.table_name);
-  const SummaryCache::AncestorCandidate* best = nullptr;
-  std::vector<AggSpec> best_rollup;
-  for (const SummaryCache::AncestorCandidate& cand : candidates) {
-    if (!Subsumes(cand.recipe.group_by, query.group_by)) continue;
-    std::vector<AggSpec> rollup;
-    bool complete = true;
-    for (const Partial& p : pset.partials()) {
-      const std::string want = render_key(p.spec.func, p.spec.input);
-      const AggSpec* found = nullptr;
-      for (const AggSpec& a : cand.recipe.aggs) {
-        if (render_key(a.func, a.input) == want) {
-          found = &a;
-          break;
-        }
-      }
-      if (found == nullptr) {
-        complete = false;
-        break;
-      }
-      rollup.push_back(
-          {p.combine, Col(found->output_name), p.spec.output_name});
-    }
-    if (!complete) continue;
-    if (best == nullptr ||
-        cand.summary->num_rows() < best->summary->num_rows()) {
-      best = &cand;
-      best_rollup = std::move(rollup);
-    }
-  }
-  if (best == nullptr) return none;
-
-  obs::TraceNode* node =
-      trace != nullptr
-          ? trace->root().AddChild(
-                "cache", "cache-ancestor-rollup: level " +
-                             LevelName(query.group_by) + " from cached " +
-                             LevelName(best->recipe.group_by))
-          : nullptr;
-  {
-    obs::ScopedTraceNode scope(node);
-    obs::MarkCacheHit();
-  }
-  // Count the hit and refresh the LRU position of the entry actually used.
-  summaries->Lookup(best->key);
-
-  PCTAGG_ASSIGN_OR_RETURN(
-      Table finest,
-      HashAggregate(*best->summary, query.group_by, best_rollup, dop));
-  if (query.group_by.empty() && best->summary->num_rows() == 0) {
-    // Same patch as the lattice rollup: the global row's count partials come
-    // back NULL from an empty source where a direct scan emits 0.
-    for (size_t a = 0; a < best_rollup.size(); ++a) {
-      if (!pset.partials()[a].count_typed || !finest.column(a).IsNull(0)) {
-        continue;
-      }
-      PCTAGG_RETURN_IF_ERROR(
-          finest.mutable_column(a).SetValue(0, Value::Int64(0)));
-    }
-  }
-  std::vector<LatticeLevel> levels(1);
-  levels[0].cols = query.group_by;
-  levels[0].table = std::make_shared<Table>(std::move(finest));
-  PCTAGG_ASSIGN_OR_RETURN(
-      Table out, AssembleVertical(query, levels, 1, plans, pset, dop, trace));
-  *answered = true;
-  return out;
-}
-
-std::string RenderLatticeScript(const AnalyzedQuery& query, bool shared_scan) {
-  PartialSet pset;
-  std::vector<std::string> by;
-  if (query.query_class == QueryClass::kHorizontal) {
-    HorizontalPlan plan;
-    if (!BuildHorizontalPartials(query, &pset, &plan).ok()) {
-      return "-- lattice plan unavailable";
-    }
-    by = plan.hterm->by_columns;
-  } else {
-    std::vector<TermPlan> plans;
-    if (!BuildVerticalPartials(query, &pset, &plans).ok()) {
-      return "-- lattice plan unavailable";
-    }
-  }
-  const std::vector<AggSpec> specs = pset.Specs();
-  const std::vector<AggSpec> combine = pset.CombineSpecs();
-  std::vector<std::string> finest = query.group_by;
-  finest.insert(finest.end(), by.begin(), by.end());
-
-  std::string out = StrFormat(
-      "-- grouping-set lattice: %zu level(s) over union %s; strategy: %s\n",
-      query.grouping_sets.size(), LevelName(query.group_by).c_str(),
-      shared_scan ? "shared-scan rollup" : "per-level recompute");
-  const std::vector<std::vector<std::string>> sets = LevelsWithFinest(query);
-  for (size_t li = 0; li < sets.size(); ++li) {
-    std::vector<std::string> cols = sets[li];
-    cols.insert(cols.end(), by.begin(), by.end());
-    const bool is_finest = cols.size() == finest.size();
-    if (!shared_scan || is_finest) {
-      out += RenderStage("scan:", cols, specs, query.table_name, query.where) +
-             ";\n";
-    } else {
-      out += RenderStage("rollup:", cols, combine,
-                         "lattice" + LevelName(finest), nullptr) +
-             ";\n";
-    }
-  }
-  out +=
-      "-- assemble: per-level percentages + GROUPING() ids, blocks "
-      "concatenated in statement order\n";
-  return out;
+  PCTAGG_RETURN_IF_ERROR(Unsupported(query, "distributed"));
+  PCTAGG_ASSIGN_OR_RETURN(CorePlan plan, BuildCorePlan(query));
+  AddNode(trace, "fused",
+          "merged-partials: level " + LevelName(plan.levels[plan.finest]));
+  const Table no_fact;  // never scanned: the finest level is given
+  return ExecuteCore(plan, no_fact, nullptr, trace, dop, /*shared_scan=*/true,
+                     std::move(finest), nullptr);
 }
 
 }  // namespace pctagg

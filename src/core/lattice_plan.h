@@ -13,69 +13,101 @@
 
 namespace pctagg {
 
-// Shared-scan evaluation of grouping-set lattices (GROUP BY CUBE / ROLLUP /
-// GROUPING SETS), the Data Cube generalization of the paper's Fj-from-Fk
-// reuse: one fused scan of the fact table computes distributive partials
-// (sum/count/min/max; avg decomposed into sum+count) at the finest requested
-// level, and every coarser level re-aggregates the smallest already-computed
-// ancestor instead of rescanning the fact table. Per-level results carry the
-// requested percentages (Vpct divide / Hpct pivot) plus GROUPING() ids and
-// are concatenated in the order the statement requested the levels.
+// The partial-summary core: the paper's Fk -> Fj -> divide/pivot chain as
+// Gray et al.'s cube lattice. Every plain Vpct/Hpct/Hagg read taken off the
+// materialized path, every plain vertical GROUP BY and every grouping-set
+// query (GROUP BY CUBE / ROLLUP / GROUPING SETS) runs as one plan:
 //
-// Every lattice level lands in the SummaryCache under its own SummaryRecipe
-// (grouping columns + the distributive partial list), so AppendRows
-// delta-maintains all of them and a dashboard hitting every rollup level is
-// all cache hits after the first query.
+//   * the finest level is GROUP BY ∪ BY (the union of the grouping sets);
+//   * it carries deduplicated distributive partials __l1, __l2, ...
+//     (sum/count/min/max; avg decomposed into sum+count), deduplicated by
+//     (func, argument) so Vpct(x BY a), Hpct(x BY d) and sum(x) share one
+//     sum partial;
+//   * every coarser level re-aggregates the smallest already-computed
+//     ancestor (the shared-scan rollup) — a plain query is a one-level
+//     lattice;
+//   * each emitted level is assembled on its own: Vpct divides against the
+//     level's totals (each Fj rolled up from the smallest already-computed
+//     totals level, the materialized planner's lattice walk), Hpct pivots,
+//     GROUPING() becomes its 0/1 id; blocks concatenate in statement order.
 //
-// The per-level mode (shared_scan = false) recomputes each level with its own
-// fused scan of the fact table — same results bit for bit on integer
-// measures (both paths share the accumulation kernels and emit groups in
-// first-seen fact order; float sums can differ only by reassociation, the
-// standard cross-dop caveat) — and exists as the cost-model's alternative
-// and the benchmark baseline.
-
-// True when the grouping-sets query can run through the lattice executor;
-// otherwise `*why` (when non-null) receives the reason. The lattice is the
-// only executor for grouping sets, so a false here surfaces as
-// InvalidArgument to the caller.
-bool LatticeSupported(const AnalyzedQuery& query, std::string* why = nullptr);
-
-// Executes the lattice: computes every level (shared rollup or per-level
-// fused scans), assembles the per-level output blocks in SELECT order
-// (vertical/Vpct) or group ∪ pivot order (horizontal), and concatenates them
-// in the statement's level order. The caller applies HAVING/ORDER BY/LIMIT.
-Result<Table> ExecuteLatticeQuery(const AnalyzedQuery& query, const Table& fact,
-                                  SummaryCache* summaries,
-                                  obs::QueryTrace* trace, size_t dop,
-                                  bool shared_scan);
-
-// Human-readable script of the lattice evaluation for plain EXPLAIN: one
-// pseudo-statement per level (fused scan or rollup source) plus the assembly
-// note.
-std::string RenderLatticeScript(const AnalyzedQuery& query, bool shared_scan);
-
-// --- Distributed partial aggregation (docs/SHARDING.md) ---------------------
+// The finest level comes from one of four sources:
+//   1. the summary cache — the plan's exact entry, or the smallest mergeable
+//      cached ancestor whose grouping subsumes the level and whose recipe
+//      covers every partial, matched by (func, argument);
+//   2. a single-flight fused scan of the fact table that fills the cache
+//      (unfiltered scans only; engine/pipeline.h::FusedAggregate);
+//   3. a rollup of a multi-query batch's union partial table
+//      (core/mqo_plan.h);
+//   4. the coordinator's merged per-shard partials (dist/coordinator.h).
 //
-// A sharded query is the lattice machinery run across processes: every
-// supported query — plain vertical, Vpct, horizontal, or grouping sets — is
-// treated as a (possibly single-level) lattice whose finest level is the
-// union of grouped columns (+ the BY columns for horizontal terms). Each
-// shard computes the finest-level distributive partials over its rows; the
-// coordinator merges the per-shard partial tables (MergeSummaries with the
-// translating KeyEncoder) and assembles percentages exactly as the
-// single-node lattice assembles from its fused scan.
+// Integer measures are bit-identical across sources, dops and lattice modes
+// (the kernels are shared and rollups keep first-seen group order); FLOAT64
+// sums can differ only by reassociation — which is also all that separates
+// an answer rolled up from a cached ancestor from a direct scan.
+//
+// Every computed level lands in the summary cache under its own mergeable
+// recipe, so AppendRows delta-maintains all of them. The per-level mode
+// (shared_scan = false) recomputes every level with its own fused scan; it is
+// the reference the shared mode is checked and benchmarked against.
 
-// True when `query` decomposes into distributive partials that merge across
-// shards; otherwise `*why` (when non-null) receives the reason. Grouping-set
-// queries defer to LatticeSupported; count(DISTINCT) and window terms are
-// never distributable.
-bool DistributedSupported(const AnalyzedQuery& query,
+// The one support predicate: true when `query` decomposes into distributive
+// partials at one finest level. Projections, window queries, count(DISTINCT),
+// avg(... BY ...) and more than one BY term are rejected with the reason in
+// `*why` (when non-null). Plain queries rejected here keep their materialized
+// path; grouping-set and sharded queries have no other path and surface the
+// reason as InvalidArgument.
+bool PartialPlanSupported(const AnalyzedQuery& query,
                           std::string* why = nullptr);
 
+// Executes the plan with the finest level taken from the cache or a fused
+// scan of `fact` (sources 1 and 2; `summaries` may be null). `*from_cache`,
+// when non-null, reports whether the finest level came from a cache entry.
+// The caller applies HAVING/ORDER BY/LIMIT.
+Result<Table> ExecutePartialPlan(const AnalyzedQuery& query, const Table& fact,
+                                 SummaryCache* summaries,
+                                 obs::QueryTrace* trace, size_t dop,
+                                 bool shared_scan, bool* from_cache = nullptr);
+
+// Whether ExecutePartialPlan would currently take the finest level from a
+// cache entry. Counts no hits and refreshes no LRU positions.
+bool PartialPlanCached(const AnalyzedQuery& query, SummaryCache* summaries);
+
+// Human-readable script of the plan for plain EXPLAIN: the finest-level
+// source, one pseudo-statement per level (scan or rollup) and the assembly.
+std::string RenderPartialPlan(const AnalyzedQuery& query, bool shared_scan,
+                              SummaryCache* summaries);
+
+// Sources 1 and 2 as a standalone step (a batch's union scan): the partial
+// table `partials` at grouping `cols` over `table_name` (filtered by
+// `where`), from the cache or one single-flight fused scan of `fact` that
+// fills it.
+Result<std::shared_ptr<const Table>> ScanPartials(
+    const std::string& table_name, const Table& fact, const ExprPtr& where,
+    const std::vector<std::string>& cols, const std::vector<AggSpec>& partials,
+    SummaryCache* summaries, size_t dop);
+
+// Source 3: rolls `ancestor` — a batch's union partial table, computed with
+// `recipe` over the query's table and WHERE — down to the query's finest
+// level and assembles the result.
+Result<Table> AssembleFromAncestor(const AnalyzedQuery& query,
+                                   const Table& ancestor,
+                                   const SummaryRecipe& recipe,
+                                   obs::QueryTrace* trace, size_t dop);
+
+// Renders "SELECT group_by, func(arg) AS name, ... FROM from [WHERE ...]
+// [GROUP BY group_by]": one stage for EXPLAIN and traces, and the partial
+// statement a shard executes locally.
+std::string RenderStage(const std::vector<std::string>& group_by,
+                        const std::vector<AggSpec>& aggs,
+                        const std::string& from, const ExprPtr& where);
+
+// --- Source 4: distributed partial aggregation (docs/SHARDING.md) -----------
+
 // The worker-side request for one query: the finest grouping level, the
-// deduplicated partial aggregates (named __l1, __l2, ...), the merge spec
-// for gathered partials, and the rendered partial-aggregation SELECT each
-// shard executes locally (a plain GROUP BY statement).
+// deduplicated partial aggregates (__l1, __l2, ...), the merge spec for
+// gathered partials, and the rendered partial SELECT each shard executes
+// locally (a plain GROUP BY statement).
 struct DistPartialPlan {
   std::vector<std::string> finest_cols;
   std::vector<AggSpec> partials;
@@ -84,26 +116,12 @@ struct DistPartialPlan {
 };
 Result<DistPartialPlan> BuildDistributedPartialPlan(const AnalyzedQuery& query);
 
-// Final coordinator-side step: rolls coarser lattice levels up from the
-// merged finest-level partial table and assembles the percentage result
-// (divide / pivot / GROUPING ids), bit-identical to the single-node path on
-// integer measures. The caller applies HAVING/ORDER BY/LIMIT.
+// Final coordinator-side step: the plan with `finest` (the merged shard
+// partials, named as in BuildDistributedPartialPlan) as its finest level.
+// The caller applies HAVING/ORDER BY/LIMIT.
 Result<Table> AssembleFromPartials(const AnalyzedQuery& query,
                                    std::shared_ptr<const Table> finest,
                                    obs::QueryTrace* trace, size_t dop);
-
-// Partial-lattice reuse for plain GROUP BY queries (no grouping sets in the
-// statement): when the summary cache holds a mergeable entry whose grouping
-// subsumes the query's and whose recipe covers every needed partial, answer
-// by rolling the smallest such ancestor up instead of rescanning the fact
-// table. Row order and values match the direct computation exactly
-// (first-seen group order survives rollups). `*answered` reports whether a
-// cached ancestor was found; when false the returned table is empty and the
-// caller runs the normal scan path.
-Result<Table> AnswerFromCachedAncestor(const AnalyzedQuery& query,
-                                       SummaryCache* summaries,
-                                       obs::QueryTrace* trace, size_t dop,
-                                       bool* answered);
 
 }  // namespace pctagg
 

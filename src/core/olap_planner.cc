@@ -7,29 +7,6 @@
 
 namespace pctagg {
 
-namespace {
-
-Result<AggFunc> WindowFunc(TermFunc func) {
-  switch (func) {
-    case TermFunc::kSum:
-      return AggFunc::kSum;
-    case TermFunc::kCount:
-      return AggFunc::kCount;
-    case TermFunc::kCountStar:
-      return AggFunc::kCountStar;
-    case TermFunc::kAvg:
-      return AggFunc::kAvg;
-    case TermFunc::kMin:
-      return AggFunc::kMin;
-    case TermFunc::kMax:
-      return AggFunc::kMax;
-    default:
-      return Status::Internal("not a window-capable function");
-  }
-}
-
-}  // namespace
-
 Result<Plan> PlanOlapPercentageQuery(const AnalyzedQuery& query) {
   if (query.query_class != QueryClass::kVpct) {
     return Status::InvalidArgument(
@@ -113,7 +90,7 @@ Result<Plan> PlanOlapPercentageQuery(const AnalyzedQuery& query) {
         PCTAGG_RETURN_IF_ERROR(
             wide.AddColumn({t.output_name, DataType::kFloat64}, std::move(pct)));
       } else {
-        PCTAGG_ASSIGN_OR_RETURN(AggFunc func, WindowFunc(t.func));
+        PCTAGG_ASSIGN_OR_RETURN(AggFunc func, TermAggFunc(t.func));
         PCTAGG_ASSIGN_OR_RETURN(
             Column agg, WindowAggregate(*input, group_by, func, t.argument));
         PCTAGG_RETURN_IF_ERROR(
@@ -176,7 +153,7 @@ Result<Plan> PlanWindowQuery(const AnalyzedQuery& query) {
         def.name = t.output_name;
         PCTAGG_RETURN_IF_ERROR(out.AddColumn(def, input->column(idx)));
       } else {
-        PCTAGG_ASSIGN_OR_RETURN(AggFunc func, WindowFunc(t.func));
+        PCTAGG_ASSIGN_OR_RETURN(AggFunc func, TermAggFunc(t.func));
         PCTAGG_ASSIGN_OR_RETURN(
             Column agg,
             WindowAggregate(*input, t.partition_by, func, t.argument));

@@ -160,29 +160,7 @@ Result<Plan> PlanVpctQuery(const AnalyzedQuery& query,
         return Status::AnalysisError(
             "count(DISTINCT ...) cannot be combined with Vpct()");
       }
-      AggFunc func;
-      switch (t.func) {
-        case TermFunc::kSum:
-          func = AggFunc::kSum;
-          break;
-        case TermFunc::kCount:
-          func = AggFunc::kCount;
-          break;
-        case TermFunc::kCountStar:
-          func = AggFunc::kCountStar;
-          break;
-        case TermFunc::kAvg:
-          func = AggFunc::kAvg;
-          break;
-        case TermFunc::kMin:
-          func = AggFunc::kMin;
-          break;
-        case TermFunc::kMax:
-          func = AggFunc::kMax;
-          break;
-        default:
-          return Status::Internal("unexpected term in Vpct planner");
-      }
+      PCTAGG_ASSIGN_OR_RETURN(AggFunc func, TermAggFunc(t.func));
       extra_aggs.push_back({func, t.argument, t.output_name});
     }
   }

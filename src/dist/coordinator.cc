@@ -80,23 +80,6 @@ uint64_t ToMicros(double ms) {
   return ms <= 0 ? 0 : static_cast<uint64_t>(ms * 1e3);
 }
 
-// Same single-column "plan" rendering PctDatabase uses for EXPLAIN, so the
-// wire protocol, CSV and shell print distributed plans without special
-// casing.
-Table TextToPlanTable(const std::string& text) {
-  Schema schema;
-  schema.AddColumn({"plan", DataType::kString});
-  Table out(schema);
-  size_t begin = 0;
-  while (begin < text.size()) {
-    size_t end = text.find('\n', begin);
-    if (end == std::string::npos) end = text.size();
-    out.mutable_column(0).AppendString(text.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return out;
-}
-
 // Errors the worker could only produce if the coordinator shipped a bad
 // partial statement (or the deployment lost a shard table): everything else
 // is a transport/availability problem the caller should see as kUnavailable.
@@ -320,7 +303,7 @@ Result<std::optional<Table>> Coordinator::MaybeExecute(
                           db_->catalog().GetTable(stmt->from_table));
   PCTAGG_ASSIGN_OR_RETURN(AnalyzedQuery query, Analyze(*stmt, stub->schema()));
   std::string why;
-  if (!DistributedSupported(query, &why)) {
+  if (!PartialPlanSupported(query, &why)) {
     return Status::InvalidArgument("distributed: " + why + " (table '" +
                                    stmt->from_table + "' is sharded)");
   }
@@ -641,7 +624,7 @@ void Coordinator::ExecuteDistributedBatch(
   const size_t dop = CurrentDop();
   for (size_t i = 0; i < members.size(); ++i) {
     members[i]->result =
-        AssembleMqoMember(plan->members[i], *merged, members[i]->trace, dop);
+        AssembleMqoMember(*plan, i, *merged, members[i]->trace, dop);
   }
 }
 
@@ -654,6 +637,7 @@ Result<Table> Coordinator::ExplainDistributed(const AnalyzedQuery& query,
       config_.worker_dop != 0 ? config_.worker_dop
                               : options.degree_of_parallelism;
   std::string text = StrFormat(
+      "-- strategy: distributed scatter/gather (topology)\n"
       "-- distributed scatter/gather: %zu shards of %s (hash on %s, %zu "
       "rows)\n",
       links_.size(), query.table_name.c_str(), meta.key_column.c_str(),

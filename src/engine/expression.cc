@@ -141,11 +141,14 @@ class ArithExpr : public Expression {
             break;
           case ArithOp::kDiv:
             // NULL on zero divisor: the engine-level safety net matching
-            // Vpct()'s "result is NULL when dividing by zero".
+            // Vpct()'s "result is NULL when dividing by zero". Adding +0.0
+            // turns a zero quotient's sign (0 over a negative total) into +0
+            // and leaves every other quotient unchanged, so all percentage
+            // strategies agree bit for bit.
             if (b == 0.0) {
               out.AppendNull();
             } else {
-              out.AppendFloat64(a / b);
+              out.AppendFloat64(a / b + 0.0);
             }
             break;
         }

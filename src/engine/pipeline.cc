@@ -612,7 +612,7 @@ Result<Column> PercentDivideColumns(const Column& num, const Column& den) {
   out.Reserve(n);
   for (size_t i = 0; i < n; ++i) {
     if (ok[i]) {
-      out.AppendFloat64(r[i]);
+      out.AppendFloat64(r[i] + 0.0);  // -0 -> +0, as Div does
     } else {
       out.AppendNull();
     }
@@ -638,7 +638,7 @@ Result<Column> PercentDivideScalar(const Column& num, const Value& total) {
   DivideLanes(a.data(), bb.data(), r.data(), n);
   for (size_t i = 0; i < n; ++i) {
     if (nv[i] != 0) {
-      out.AppendFloat64(r[i]);
+      out.AppendFloat64(r[i] + 0.0);  // -0 -> +0, as Div does
     } else {
       out.AppendNull();
     }

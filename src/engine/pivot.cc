@@ -363,8 +363,9 @@ Result<Table> HashDispatchPivot(const Table& input,
         if (!total_ok) {
           v = Value::Null();
         } else {
-          v = Value::Float64(cell_present && st.saw_value ? st.sum / total
-                                                          : 0.0);
+          // + 0.0: a zero share of a negative total is +0, as Div gives.
+          v = Value::Float64(
+              cell_present && st.saw_value ? st.sum / total + 0.0 : 0.0);
         }
       } else {
         // A combination with no rows at all is NULL — even for counts — to

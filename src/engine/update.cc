@@ -97,7 +97,8 @@ Status KeyedDivideUpdate(Table* target,
       // CASE WHEN Fj.A <> 0 THEN Fk.A / Fj.A ELSE NULL END.
       row_values[tval] = divisor == 0.0
                              ? Value::Null()
-                             : Value::Float64(current.AsDouble() / divisor);
+                             : Value::Float64(current.AsDouble() / divisor +
+                                              0.0);  // -0 -> +0, as Div does
     }
     PCTAGG_RETURN_IF_ERROR(rewritten.AppendRow(row_values));  // write back
   }

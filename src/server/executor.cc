@@ -8,6 +8,7 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/cost_model.h"
+#include "core/lattice_plan.h"
 #include "core/mqo_plan.h"
 #include "engine/parallel.h"
 #include "obs/metrics.h"
@@ -249,21 +250,6 @@ bool SplitExplainAnalyze(const std::string& sql, std::string* inner) {
   return IsPlainSelect(*inner);
 }
 
-// Same single-column "plan" rendering PctDatabase uses for EXPLAIN output.
-Table TextToPlanTable(const std::string& text) {
-  Schema schema;
-  schema.AddColumn({"plan", DataType::kString});
-  Table out(schema);
-  size_t begin = 0;
-  while (begin < text.size()) {
-    size_t end = text.find('\n', begin);
-    if (end == std::string::npos) end = text.size();
-    out.mutable_column(0).AppendString(text.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return out;
-}
-
 }  // namespace
 
 Result<Table> QueryExecutor::RunMqoRead(const std::string& sql,
@@ -292,8 +278,7 @@ Result<Table> QueryExecutor::RunMqoRead(const std::string& sql,
   }
   Result<AnalyzedQuery> prepared = db_->PrepareQuery(inner);
   if (!prepared.ok()) return db_->Query(sql, opts);
-  std::string why;
-  if (!MqoSupported(*prepared, &why)) return db_->Query(sql, opts);
+  if (!PartialPlanSupported(*prepared)) return db_->Query(sql, opts);
   Result<const Table*> fact =
       static_cast<const PctDatabase*>(db_)->catalog().GetTable(
           prepared->table_name);
@@ -392,9 +377,8 @@ void QueryExecutor::ExecuteMqoMembers(const QueryOptions& opts,
   std::vector<obs::QueryTrace*> traces;
   traces.reserve(members.size());
   for (MqoGate::Member* m : members) traces.push_back(m->trace);
-  MqoBatchStats bstats;
   Result<std::vector<Table>> results =
-      ExecuteMqoBatch(*plan, **fact, summaries, traces, dop, &bstats);
+      ExecuteMqoBatch(*plan, **fact, summaries, traces, dop);
   if (!results.ok()) {
     // A batch-level failure (e.g. a mid-flight DROP) re-runs every member
     // solo so each gets its own precise error or result.

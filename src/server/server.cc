@@ -323,8 +323,9 @@ WireResponse PctServer::HandleRequest(Session* session,
       auto script = std::make_shared<std::string>();
       Stopwatch timer;
       Status st = executor_.ExecuteRead(
-          [this, script, sql = request.payload]() -> Status {
-            Result<std::string> r = db_->Explain(sql);
+          [this, script, sql = request.payload,
+           options = session->query_options()]() -> Status {
+            Result<std::string> r = db_->Explain(sql, options);
             if (!r.ok()) return r.status();
             *script = std::move(r).value();
             return Status::OK();

@@ -29,6 +29,25 @@ const char* TermFuncName(TermFunc func) {
   return "?";
 }
 
+Result<AggFunc> TermAggFunc(TermFunc func) {
+  switch (func) {
+    case TermFunc::kSum:
+      return AggFunc::kSum;
+    case TermFunc::kCount:
+      return AggFunc::kCount;
+    case TermFunc::kCountStar:
+      return AggFunc::kCountStar;
+    case TermFunc::kAvg:
+      return AggFunc::kAvg;
+    case TermFunc::kMin:
+      return AggFunc::kMin;
+    case TermFunc::kMax:
+      return AggFunc::kMax;
+    default:
+      return Status::Internal("not a vertical aggregate term");
+  }
+}
+
 std::string SelectTerm::ToString() const {
   std::string out;
   if (func == TermFunc::kScalar) {

@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "common/result.h"
+#include "engine/aggregate.h"
 #include "engine/expression.h"
 #include "engine/value.h"
 
@@ -27,6 +29,10 @@ enum class TermFunc {
 };
 
 const char* TermFuncName(TermFunc func);
+
+// The engine aggregate a standard aggregate term computes (sum, count,
+// count(*), avg, min, max); fails for scalars, Vpct, Hpct and GROUPING.
+Result<AggFunc> TermAggFunc(TermFunc func);
 
 // One item of the SELECT list as parsed.
 struct SelectTerm {

@@ -142,6 +142,29 @@ Table NullableFact(uint64_t seed, size_t n) {
   return t;
 }
 
+// A global horizontal query whose WHERE removes every row keeps the
+// single-node answer's one global row (its extras) when sharded — plain and
+// as the () level of a ROLLUP.
+TEST(DistTest, EmptyFilterGlobalHorizontalKeepsGlobalRow) {
+  Cluster cluster(2);
+  ASSERT_TRUE(cluster.db().CreateTable("f", NullableFact(5, 2000)).ok());
+  const std::vector<std::string> sqls = {
+      "SELECT Hpct(v BY g), sum(v) AS s, count(*) AS n FROM f WHERE v < 0",
+      "SELECT k, Hpct(v BY g), sum(v) AS s, count(*) AS n FROM f "
+      "WHERE v < 0 GROUP BY ROLLUP(k)"};
+  std::vector<std::string> want;
+  for (const std::string& sql : sqls) {
+    want.push_back(LocalCsv(&cluster.db(), sql));
+  }
+  ASSERT_TRUE(cluster.coordinator().ShardTable("f", "k").ok());
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    Result<Table> got = cluster.Distributed(sqls[i]);
+    ASSERT_TRUE(got.ok()) << sqls[i] << ": " << got.status().ToString();
+    EXPECT_EQ(got->num_rows(), 1u) << sqls[i];
+    EXPECT_EQ(FormatCsv(*got), want[i]) << sqls[i];
+  }
+}
+
 constexpr char kVpctSql[] =
     "SELECT dayOfWeekNo, stateId, Vpct(itemQty BY stateId) AS pct FROM f "
     "GROUP BY dayOfWeekNo, stateId ORDER BY dayOfWeekNo, stateId";

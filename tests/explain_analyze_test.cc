@@ -6,7 +6,9 @@
 
 #include <cctype>
 #include <string>
+#include <vector>
 
+#include "core/advisor.h"
 #include "core/database.h"
 #include "obs/trace.h"
 #include "sql/parser.h"
@@ -201,6 +203,58 @@ TEST_F(ExplainAnalyzeTest, ForcedStrategyIsReportedAsForced) {
   options.trace = &trace;
   ASSERT_TRUE(db_.Query(kVpctSql, options).ok());
   EXPECT_EQ(trace.strategy_source, "forced");
+}
+
+// --- Plain EXPLAIN shows the plan that runs --------------------------------
+
+// The "<name> (<source>)" part of the first line of `text` that starts with
+// `prefix`.
+std::string StrategyLine(const std::string& text, const std::string& prefix) {
+  size_t begin = 0;
+  while (begin < text.size()) {
+    size_t end = text.find('\n', begin);
+    if (end == std::string::npos) end = text.size();
+    if (text.compare(begin, prefix.size(), prefix) == 0) {
+      return text.substr(begin + prefix.size(), end - begin - prefix.size());
+    }
+    begin = end + 1;
+  }
+  return "<none>";
+}
+
+TEST(ExplainMatchesAnalyzeTest, PlainExplainNamesTheStrategyThatRuns) {
+  const std::vector<std::string> sqls = {
+      "SELECT state, Vpct(salesAmt BY state) FROM sales GROUP BY state",
+      "SELECT state, Hpct(salesAmt BY dweek) FROM sales GROUP BY state",
+      "SELECT state, dweek, sum(salesAmt) FROM sales GROUP BY state, dweek",
+      "SELECT state, dweek, Vpct(salesAmt BY dweek) FROM sales "
+      "GROUP BY CUBE(state, dweek)"};
+  // One table below and one above the advisor's fused-row threshold.
+  for (size_t rows : {size_t{1200}, StrategyAdvisor::kFusedMinRows + 4000}) {
+    PctDatabase db;
+    ASSERT_TRUE(db.CreateTable("sales", GenerateSales(rows)).ok());
+    for (ExecutionMode exec :
+         {ExecutionMode::kAuto, ExecutionMode::kFused,
+          ExecutionMode::kMaterialized}) {
+      for (size_t dop : {size_t{1}, size_t{3}}) {
+        for (const std::string& sql : sqls) {
+          SCOPED_TRACE(sql + " rows=" + std::to_string(rows) + " exec=" +
+                       std::to_string(static_cast<int>(exec)) +
+                       " dop=" + std::to_string(dop));
+          QueryOptions options;
+          options.execution = exec;
+          options.degree_of_parallelism = dop;
+          Result<std::string> plan = db.Explain(sql, options);
+          ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+          Result<std::string> ran = db.ExplainAnalyze(sql, options);
+          ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+          const std::string shown = StrategyLine(*plan, "-- strategy: ");
+          EXPECT_NE(shown, "<none>") << *plan;
+          EXPECT_EQ(shown, StrategyLine(*ran, "strategy: ")) << *plan << *ran;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -214,19 +214,19 @@ TEST(LatticeAnalyzer, LatticeSupportGates) {
   Result<AnalyzedQuery> q1 = AnalyzeSql(
       "SELECT d1, count(DISTINCT d2) FROM f GROUP BY CUBE(d1)", FactSchema());
   ASSERT_TRUE(q1.ok()) << q1.status().ToString();
-  EXPECT_FALSE(LatticeSupported(q1.value(), &why));
+  EXPECT_FALSE(PartialPlanSupported(q1.value(), &why));
   EXPECT_NE(why.find("DISTINCT"), std::string::npos) << why;
-  // A plain grouped query without grouping sets is not lattice work.
+  // A plain grouped query is the one-level lattice.
   Result<AnalyzedQuery> q2 =
       AnalyzeSql("SELECT d1, sum(a) FROM f GROUP BY d1", FactSchema());
   ASSERT_TRUE(q2.ok());
-  EXPECT_FALSE(LatticeSupported(q2.value(), &why));
+  EXPECT_TRUE(PartialPlanSupported(q2.value(), &why)) << why;
   // The supported shape passes.
   Result<AnalyzedQuery> q3 = AnalyzeSql(
       "SELECT d1, d2, Vpct(a BY d2), GROUPING(d1) FROM f GROUP BY CUBE(d1, d2)",
       FactSchema());
   ASSERT_TRUE(q3.ok()) << q3.status().ToString();
-  EXPECT_TRUE(LatticeSupported(q3.value(), &why)) << why;
+  EXPECT_TRUE(PartialPlanSupported(q3.value(), &why)) << why;
 }
 
 // --- Hand-checked results ---------------------------------------------------
@@ -291,6 +291,43 @@ TEST(LatticeQuery, RollupVerticalAggregatesWithAvg) {
   EXPECT_EQ(t.column(2).GetValue(2).int64(), 4);
   EXPECT_EQ(t.column(3).GetValue(2).int64(), 10);
   EXPECT_EQ(t.column(4).GetValue(2).int64(), 40);
+}
+
+// Horizontal grouping sets with extra aggregates over an empty input (a
+// WHERE that matches nothing, or an empty table): the finer levels emit no
+// rows and the () level emits exactly the one row the materialized global
+// Hpct returns — extras only (sum NULL, counts 0), no pivot columns.
+TEST(LatticeQuery, EmptyInputHorizontalRollupKeepsGlobalRow) {
+  PctDatabase db;
+  ASSERT_TRUE(db.CreateTable("f", IntFact(500, 5)).ok());
+  ASSERT_TRUE(db.CreateTable("empty", Table(FactSchema())).ok());
+  QueryOptions mat;
+  mat.execution = ExecutionMode::kMaterialized;
+  for (const std::string& from : {std::string("f WHERE d3 = 99"),
+                                  std::string("empty")}) {
+    Result<Table> global = db.Query(
+        "SELECT Hpct(a BY d2), sum(a) AS s, count(*) AS n FROM " + from, mat);
+    ASSERT_TRUE(global.ok()) << global.status().ToString();
+    ASSERT_EQ(global->num_rows(), 1u);
+    for (LatticeMode mode : {LatticeMode::kShared, LatticeMode::kPerLevel}) {
+      SCOPED_TRACE(from + (mode == LatticeMode::kShared ? " shared"
+                                                        : " per-level"));
+      QueryOptions options;
+      options.lattice = mode;
+      Result<Table> r = db.Query(
+          "SELECT d1, Hpct(a BY d2), sum(a) AS s, count(*) AS n FROM " + from +
+              " GROUP BY ROLLUP(d1)",
+          options);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_EQ(r->num_rows(), 1u);
+      ASSERT_EQ(r->num_columns(), 3u);
+      EXPECT_TRUE(r->column(0).IsNull(0));  // d1 rolled away
+      EXPECT_EQ(r->column(1).GetValue(0), global->column(0).GetValue(0));
+      EXPECT_EQ(r->column(2).GetValue(0), global->column(1).GetValue(0));
+      EXPECT_TRUE(r->column(1).IsNull(0));
+      EXPECT_EQ(r->column(2).GetValue(0).int64(), 0);
+    }
+  }
 }
 
 TEST(LatticeQuery, RollupHpctHandChecked) {
@@ -627,16 +664,21 @@ TEST(LatticeExplain, PlainExplainRendersLatticeScript) {
 // --- Advisor and session plumbing -------------------------------------------
 
 TEST(LatticeAdvisor, SharedWinsOnMultiLevelLattices) {
+  // Per-level recompute can never price below the shared rollup (every
+  // level's cardinality is capped at n), so SET lattice auto runs shared.
   PctDatabase db;
   ASSERT_TRUE(db.CreateTable("f", IntFact(3000, 7)).ok());
-  const Table& fact = *db.catalog().GetTable("f").value();
-  Result<AnalyzedQuery> q = AnalyzeSql(
-      "SELECT d1, d2, d3, sum(a) FROM f GROUP BY CUBE(d1, d2, d3)",
-      FactSchema());
-  ASSERT_TRUE(q.ok()) << q.status().ToString();
-  StrategyAdvisor advisor;
-  EXPECT_TRUE(advisor.AdviseLatticeShared(fact, q.value()));
-  EXPECT_TRUE(advisor.AdviseLatticeShared(fact, q.value(), /*dop=*/4));
+  for (size_t dop : {1, 4}) {
+    obs::QueryTrace trace;
+    QueryOptions options;
+    options.degree_of_parallelism = dop;
+    options.trace = &trace;
+    ASSERT_TRUE(db.Query("SELECT d1, d2, d3, sum(a) FROM f "
+                         "GROUP BY CUBE(d1, d2, d3)",
+                         options)
+                    .ok());
+    EXPECT_EQ(trace.strategy, "lattice-shared");
+  }
 }
 
 TEST(LatticeSession, SetLatticeOption) {
