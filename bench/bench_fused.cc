@@ -14,6 +14,9 @@
 //      materializing serially).
 //   2. End-to-end Vpct / Hpct queries through PctDatabase::Query with
 //      ExecutionMode::kFused vs kMaterialized at each DOP.
+// Beside the filtered kernel rows, "aggregate_unfiltered" times the same
+// FusedAggregate without its WHERE at each DOP, so the predicate's share of
+// the scan and the DOP scaling of both show side by side.
 //
 // Scaling soft-check: the fused kernel at DOP=4 must not be slower than its
 // own DOP=1 by more than 15% — MorselPlan::Auto clamps workers to the cores
@@ -100,9 +103,10 @@ double MaterializedAggregateMs(const Table& t, size_t dop, size_t* out_groups) {
   return ms;
 }
 
-double FusedAggregateMs(const Table& t, size_t dop, size_t* out_groups) {
+double FusedAggregateMs(const Table& t, const ExprPtr& where, size_t dop,
+                        size_t* out_groups) {
   pctagg::Stopwatch timer;
-  Result<Table> r = pctagg::FusedAggregate(t, BenchWhere(), {"dweek", "monthNo"},
+  Result<Table> r = pctagg::FusedAggregate(t, where, {"dweek", "monthNo"},
                                            BenchAggs(), dop);
   double ms = timer.ElapsedMillis();
   if (!r.ok()) {
@@ -195,8 +199,8 @@ int main(int argc, char** argv) {
   double dop4_ms = 0;
   for (size_t dop : kDops) {
     size_t groups = 0;
-    double ms =
-        BestOf(reps, [&] { return FusedAggregateMs(sales, dop, &groups); });
+    double ms = BestOf(
+        reps, [&] { return FusedAggregateMs(sales, BenchWhere(), dop, &groups); });
     if (groups != seed_groups) {
       std::fprintf(stderr, "group count mismatch: %zu vs %zu\n", groups,
                    seed_groups);
@@ -209,6 +213,15 @@ int main(int argc, char** argv) {
     agg_json += StrFormat(
         "      {\"dop\": %zu, \"ms\": %.3f, \"speedup_vs_seed\": %.3f}%s\n",
         dop, ms, seed_ms / ms, dop == 8 ? "" : ",");
+  }
+  std::string unfiltered_json;
+  for (size_t dop : kDops) {
+    size_t groups = 0;
+    double ms = BestOf(
+        reps, [&] { return FusedAggregateMs(sales, nullptr, dop, &groups); });
+    std::fprintf(stderr, "[agg] fused unfiltered dop=%zu: %.2f ms\n", dop, ms);
+    unfiltered_json += StrFormat("      {\"dop\": %zu, \"ms\": %.3f}%s\n", dop,
+                                 ms, dop == 8 ? "" : ",");
   }
   // Regression guard: fusing must not lose to materializing at DOP=1.
   double dop1_regression_pct = (dop1_ms - seed_ms) / seed_ms * 100.0;
@@ -240,10 +253,13 @@ int main(int argc, char** argv) {
       "    \"dop1_regression_pct\": %.2f,\n"
       "    \"dop\": [\n%s    ]\n"
       "  },\n"
+      "  \"aggregate_unfiltered\": {\n"
+      "    \"dop\": [\n%s    ]\n"
+      "  },\n"
       "  \"queries\": [\n%s  ]\n"
       "}\n",
       rows, num_cores, reps, seed_groups, seed_ms, dop1_regression_pct,
-      agg_json.c_str(), query_json.c_str());
+      agg_json.c_str(), unfiltered_json.c_str(), query_json.c_str());
 
   std::fputs(json.c_str(), stdout);
   FILE* f = std::fopen("BENCH_fused.json", "w");

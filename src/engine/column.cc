@@ -1,6 +1,7 @@
 #include "engine/column.h"
 
 #include <cstring>
+#include <type_traits>
 
 namespace pctagg {
 
@@ -134,6 +135,22 @@ void Column::AppendFrom(const Column& other, size_t row) {
       break;
     }
   }
+}
+
+Column Column::Gather(const uint32_t* rows, size_t count) const {
+  std::vector<uint8_t> validity(count);
+  for (size_t i = 0; i < count; ++i) validity[i] = validity_[rows[i]];
+  return std::visit(
+      [&](const auto& vec) {
+        std::remove_cv_t<std::remove_reference_t<decltype(vec)>> out(count);
+        for (size_t i = 0; i < count; ++i) out[i] = vec[rows[i]];
+        Column c(type_);
+        c.data_ = std::move(out);
+        c.validity_ = std::move(validity);
+        c.dict_ = dict_;
+        return c;
+      },
+      data_);
 }
 
 void Column::AppendAllFrom(const Column& other) {

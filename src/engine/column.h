@@ -60,6 +60,10 @@ class Column {
   // discipline (engine/dictionary.h) when dictionaries differ.
   void AppendAllFrom(const Column& other);
 
+  // A new column holding rows `rows[0, count)` of this one, in that order,
+  // with the same type (strings keep sharing this column's dictionary).
+  Column Gather(const uint32_t* rows, size_t count) const;
+
   // Scalar accessors. The typed *At accessors require a non-null slot of the
   // matching type.
   Value GetValue(size_t row) const;

@@ -1,6 +1,7 @@
 #ifndef PCTAGG_ENGINE_EXPRESSION_H_
 #define PCTAGG_ENGINE_EXPRESSION_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -83,6 +84,77 @@ ExprPtr Abs(ExprPtr e);
 
 // ROUND(x, digits): x rounded to `digits` decimal places (FLOAT64).
 ExprPtr Round(ExprPtr e, int digits);
+
+// -- Predicate evaluation ------------------------------------------------------
+
+// The one evaluator for boolean predicates: WHERE in the fused scan and in
+// Filter, HAVING, and the boolean nodes' own Evaluate (so CASE conditions
+// share it). Bind() type-checks the predicate once and compiles it into a
+// tree of typed mask kernels that read the table's column arrays in place:
+//   * column-vs-constant comparisons (either way round) are tight loops over
+//     int64_data()/float64_data() plus validity. INT64 against INT64 is exact;
+//     any other numeric pair compares as doubles. A dictionary string column
+//     compares through a per-code lookup table built once per Bind (one
+//     string compare per distinct value, a hash probe for = and <>);
+//   * AND/OR/NOT/IS NULL combine one byte per row holding SQL's three truth
+//     values (FALSE=0, UNKNOWN=1, TRUE=2: AND is min, OR is max, NOT is 2-x),
+//     and a row is kept iff the whole predicate is TRUE.
+// Any other subtree (column-vs-column, arithmetic, CASE...) is evaluated once
+// through Expression::Evaluate at Bind time and read back as a column.
+//
+// Select() is const and runs concurrently on disjoint row ranges, each
+// caller with its own scratch, which is how the fused scan filters every
+// morsel inside its parallel workers.
+class PredicateMask {
+ public:
+  // Errors if `predicate` does not typecheck against `table` or is not
+  // boolean (INT64). `table` must outlive the mask.
+  static Result<PredicateMask> Bind(const Expression& predicate,
+                                    const Table& table);
+
+  PredicateMask(PredicateMask&&) noexcept;
+  PredicateMask& operator=(PredicateMask&&) noexcept;
+  ~PredicateMask();
+
+  // Which evaluator runs, for EXPLAIN ANALYZE: "mask kernel", "generic
+  // fallback" (the whole predicate went through Evaluate) or
+  // "mask kernel+generic fallback".
+  std::string evaluator() const;
+
+  // Writes the absolute ids of the rows in [begin, end) where the predicate
+  // is TRUE to `sel` (room for end - begin entries), in row order; returns
+  // how many. `scratch` is per-thread working memory.
+  size_t Select(size_t begin, size_t end, uint32_t* sel,
+                std::vector<uint8_t>* scratch) const;
+
+  // The predicate over every row as a boolean column: 0/1, NULL = UNKNOWN.
+  Column ToColumn() const;
+
+ private:
+  struct Node;
+
+  PredicateMask();
+
+  Result<uint32_t> Compile(const Expression& e);
+  Result<uint32_t> CompileIsNull(const Expression& operand);
+  Result<uint32_t> CompileCompare(const Expression& compare);
+  Result<uint32_t> Fallback(const Expression& e, bool is_null_test);
+  uint32_t AddNode(const Node& node);
+  size_t Depth(uint32_t node) const;
+  // Writes three-valued bytes of rows [begin, begin + n) to `out`; `tmp`
+  // holds Depth(node) * n bytes for the children's partial results.
+  void Run(uint32_t node, size_t begin, size_t n, uint8_t* out,
+           uint8_t* tmp) const;
+
+  const Table* table_ = nullptr;
+  std::vector<Node> nodes_;
+  uint32_t root_ = 0;
+  size_t depth_ = 0;
+  size_t fallbacks_ = 0;
+  // Storage the nodes point into: lookup tables and fallback columns.
+  std::vector<std::vector<uint8_t>> luts_;
+  std::vector<std::unique_ptr<Column>> owned_;
+};
 
 }  // namespace pctagg
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "common/cpu.h"
 #include "engine/agg_internal.h"
@@ -144,50 +145,6 @@ struct InlineKeyTable {
 };
 
 // ---------------------------------------------------------------------------
-// WHERE-mask helpers.
-// ---------------------------------------------------------------------------
-
-// Compacts the mask over [begin, end) into a list of matching absolute row
-// ids. The SSE2 path (baseline on x86-64, but still behind the runtime SIMD
-// switch so PCTAGG_DISABLE_SIMD covers the scalar loop) classifies 16 mask
-// bytes per movemask: all-zero blocks are skipped and all-ones blocks append
-// 16 consecutive rows without per-row branches — selective and permissive
-// filters both collapse to one branch per block.
-size_t BuildSelection(const uint8_t* mask, size_t begin, size_t end,
-                      uint32_t* sel) {
-  size_t out = 0;
-  size_t row = begin;
-#if defined(__x86_64__)
-  if (SimdEnabled()) {
-    const __m128i zero = _mm_setzero_si128();
-    for (; row + 16 <= end; row += 16) {
-      const __m128i block = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(mask + row));
-      const int zeros =
-          _mm_movemask_epi8(_mm_cmpeq_epi8(block, zero));
-      if (zeros == 0xFFFF) continue;  // no row selected
-      if (zeros == 0) {               // every row selected
-        for (int k = 0; k < 16; ++k) {
-          sel[out++] = static_cast<uint32_t>(row + k);
-        }
-        continue;
-      }
-      int bits = ~zeros & 0xFFFF;
-      while (bits != 0) {
-        const int k = __builtin_ctz(bits);
-        sel[out++] = static_cast<uint32_t>(row + k);
-        bits &= bits - 1;
-      }
-    }
-  }
-#endif
-  for (; row < end; ++row) {
-    if (mask[row] != 0) sel[out++] = static_cast<uint32_t>(row);
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Vectorized divide.
 // ---------------------------------------------------------------------------
 
@@ -227,8 +184,10 @@ struct FusedPartial {
   std::vector<size_t> first_row;
   std::vector<uint32_t> gid;         // morsel scratch: group id per kept row
   std::vector<uint32_t> sel;         // morsel scratch: kept absolute rows
+  std::vector<uint8_t> where_buf;    // morsel scratch: predicate bytes
   std::vector<char> key_buf;         // morsel scratch: packed keys
   std::vector<int64_t> lane_scratch; // morsel scratch: unrolled lanes
+  size_t kept = 0;                   // rows the WHERE kept
 };
 
 }  // namespace
@@ -236,30 +195,19 @@ struct FusedPartial {
 Result<Table> FusedAggregate(const Table& input, const ExprPtr& where,
                              const std::vector<std::string>& group_by,
                              const std::vector<AggSpec>& aggs, size_t dop) {
-  // WHERE becomes a mask, never a row copy: the filter stage of the fused
-  // pipeline only decides which rows the partial-agg stage consumes.
+  // WHERE never copies rows: the predicate is bound (type-checked and
+  // compiled) once here, and each morsel's worker evaluates it into that
+  // morsel's selection list, so the filter runs inside the parallel scan.
+  // Its trace node sits under the aggregate whose time includes it.
   const size_t n = input.num_rows();
-  std::vector<uint8_t> mask;
-  if (where != nullptr) {
-    obs::OpScope filter_op("filter");
-    PCTAGG_ASSIGN_OR_RETURN(Column pred, where->Evaluate(input));
-    if (pred.type() != DataType::kInt64) {
-      return Status::TypeMismatch("filter predicate must be boolean");
-    }
-    mask.resize(n);
-    const uint8_t* pv = pred.validity().data();
-    const int64_t* pd = pred.int64_data().data();
-    size_t kept = 0;
-    for (size_t row = 0; row < n; ++row) {
-      const uint8_t keep = pv[row] != 0 && pd[row] != 0;
-      mask[row] = keep;
-      kept += keep;
-    }
-    filter_op.SetRows(n, kept);
-    filter_op.SetDetail("fused mask");
-  }
-
   obs::OpScope op("aggregate");
+  std::optional<PredicateMask> pred;
+  obs::TraceNode* filter_node = nullptr;
+  if (where != nullptr) {
+    if (op.active()) filter_node = obs::CurrentOp()->AddChild("filter");
+    obs::ScopedTraceNode bind_scope(filter_node);
+    PCTAGG_ASSIGN_OR_RETURN(pred, PredicateMask::Bind(*where, input));
+  }
   PCTAGG_ASSIGN_OR_RETURN(aggdetail::AggBindings bind,
                           aggdetail::BindAggs(input, group_by, aggs));
   const std::vector<size_t>& group_idx = bind.group_idx;
@@ -313,19 +261,18 @@ Result<Table> FusedAggregate(const Table& input, const ExprPtr& where,
       p.first_row.assign(direct_slots, SIZE_MAX);
     }
   }
-  const uint8_t* mask_data = mask.empty() ? nullptr : mask.data();
-
   RunMorsels(plan, [&](size_t worker, size_t begin, size_t end) {
     FusedPartial& p = partials[worker];
     const size_t span = end - begin;
     if (p.gid.size() < span) p.gid.resize(span);
 
-    // Filter stage: compact the mask into this morsel's selection list.
+    // Filter stage: this morsel's rows where the WHERE is TRUE.
     const uint32_t* rows = nullptr;
     size_t count = span;
-    if (mask_data != nullptr) {
+    if (pred.has_value()) {
       if (p.sel.size() < span) p.sel.resize(span);
-      count = BuildSelection(mask_data, begin, end, p.sel.data());
+      count = pred->Select(begin, end, p.sel.data(), &p.where_buf);
+      p.kept += count;
       rows = p.sel.data();
       if (count == 0) return;
     }
@@ -580,7 +527,14 @@ Result<Table> FusedAggregate(const Table& input, const ExprPtr& where,
         break;
       }
     }
-    if (mask_data != nullptr) detail += "+where";
+    if (filter_node != nullptr) {
+      size_t kept = 0;
+      for (const FusedPartial& p : partials) kept += p.kept;
+      filter_node->detail = pred->evaluator() + ", per morsel";
+      filter_node->stats.rows_in = n;
+      filter_node->stats.rows_out = kept;
+      detail += "+where";
+    }
     op.SetDetail(detail);
     op.SetRows(n, states.size());
     op.SetMorsels(plan.num_morsels, plan.num_workers);

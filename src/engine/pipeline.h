@@ -11,14 +11,16 @@ namespace pctagg {
 
 // Push-based fused operators for the percentage pipelines. Where the
 // materialized plans run Filter -> HashAggregate as separate statements with
-// an intermediate table, FusedAggregate pushes each morsel through
-// filter-mask, keying and accumulation in one pass, so filtered rows are
-// never copied and the group key is built straight from the column arrays.
+// an intermediate table, FusedAggregate pushes each morsel through WHERE
+// selection (PredicateMask, engine/expression.h, evaluated inside the
+// morsel's worker), keying and accumulation in one pass, so filtered rows
+// are never copied and the group key is built straight from the column
+// arrays.
 //
 // Results are bit-identical to Filter(input, where) followed by
 // HashAggregate(group_by, aggs) at the same dop: the accumulation and
 // emission code is shared (engine/agg_internal.h), rows are folded in the
-// same per-worker order, and the WHERE mask preserves input row order.
+// same per-worker order, and each morsel's selection keeps input row order.
 //
 // Morsels come from MorselPlan::Auto: workers are clamped to the CPUs this
 // process can actually use and morsels sized to ~4 per worker, which is the

@@ -1,9 +1,11 @@
 #include "engine/table_ops.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <unordered_set>
 
+#include "engine/parallel.h"
 #include "obs/trace.h"
 
 namespace pctagg {
@@ -21,18 +23,35 @@ Result<Table> Project(const Table& input,
 
 Result<Table> Filter(const Table& input, const ExprPtr& predicate) {
   obs::OpScope op("filter");
-  PCTAGG_ASSIGN_OR_RETURN(Column pred, predicate->Evaluate(input));
-  if (pred.type() != DataType::kInt64) {
-    return Status::TypeMismatch("filter predicate must be boolean");
+  PCTAGG_ASSIGN_OR_RETURN(PredicateMask pred,
+                          PredicateMask::Bind(*predicate, input));
+  op.SetDetail(pred.evaluator());
+  // The selection list fills morsel by morsel in parallel, each morsel
+  // writing its kept rows at its own offset; the pieces are then packed in
+  // row order, and the output is gathered one column at a time.
+  const size_t n = input.num_rows();
+  const MorselPlan plan = MorselPlan::Auto(n, CurrentDop());
+  std::vector<uint32_t> sel(n);
+  std::vector<size_t> kept(plan.num_morsels);
+  std::vector<std::vector<uint8_t>> scratch(plan.num_workers);
+  RunMorsels(plan, [&](size_t worker, size_t begin, size_t end) {
+    kept[begin / plan.morsel_rows] =
+        pred.Select(begin, end, sel.data() + begin, &scratch[worker]);
+  });
+  size_t count = 0;
+  for (size_t m = 0; m < plan.num_morsels; ++m) {
+    std::memmove(sel.data() + count, sel.data() + plan.Begin(m),
+                 kept[m] * sizeof(uint32_t));
+    count += kept[m];
   }
-  Table out(input.schema());
-  for (size_t row = 0; row < input.num_rows(); ++row) {
-    if (!pred.IsNull(row) && pred.Int64At(row) != 0) {
-      out.AppendRowFrom(input, row);
-    }
+  op.SetRows(n, count);
+  if (count == 0) return Table(input.schema());
+  std::vector<Column> columns;
+  columns.reserve(input.num_columns());
+  for (size_t c = 0; c < input.num_columns(); ++c) {
+    columns.push_back(input.column(c).Gather(sel.data(), count));
   }
-  op.SetRows(input.num_rows(), out.num_rows());
-  return out;
+  return Table(input.schema(), std::move(columns));
 }
 
 Result<Table> Distinct(const Table& input,

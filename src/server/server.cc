@@ -111,10 +111,15 @@ void PctServer::Stop() {
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(conn_mutex_);
-    threads.swap(conn_threads_);
+    for (auto& [id, t] : conn_threads_) threads.push_back(std::move(t));
+    conn_threads_.clear();
   }
   for (std::thread& t : threads) {
     if (t.joinable()) t.join();
+  }
+  {
+    std::lock_guard<std::mutex> lock(conn_mutex_);
+    finished_conns_.clear();
   }
   listen_fd_ = -1;
 }
@@ -137,13 +142,24 @@ void PctServer::AcceptLoop() {
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    open_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(conn_mutex_);
+      for (uint64_t id : finished_conns_) {
+        finished.push_back(std::move(conn_threads_.extract(id).mapped()));
+      }
+      finished_conns_.clear();
+      open_fds_.insert(fd);
+      const uint64_t id = next_conn_id_++;
+      conn_threads_.emplace(
+          id, std::thread([this, fd, id] { HandleConnection(fd, id); }));
+    }
+    // Finished handlers have returned or are about to: joining is brief.
+    for (std::thread& t : finished) t.join();
   }
 }
 
-void PctServer::HandleConnection(int fd) {
+void PctServer::HandleConnection(int fd, uint64_t conn_id) {
   ++sessions_opened_;
   SessionsOpenedCounter().Add();
   Session session(next_session_id_.fetch_add(1), config_.default_timeout_ms);
@@ -178,6 +194,7 @@ void PctServer::HandleConnection(int fd) {
   {
     std::lock_guard<std::mutex> lock(conn_mutex_);
     open_fds_.erase(fd);
+    finished_conns_.push_back(conn_id);
   }
   ::close(fd);
 }

@@ -7,6 +7,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/database.h"
@@ -63,7 +64,7 @@ class PctServer {
 
  private:
   void AcceptLoop();
-  void HandleConnection(int fd);
+  void HandleConnection(int fd, uint64_t conn_id);
   // Builds the response for one request; sets `*quit` on QUIT.
   WireResponse HandleRequest(Session* session, const WireRequest& request,
                              bool* quit);
@@ -83,7 +84,12 @@ class PctServer {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
   mutable std::mutex conn_mutex_;
-  std::vector<std::thread> conn_threads_;
+  // Handler threads by connection id. A finished handler leaves its id in
+  // finished_conns_ and the accept path joins it, so a long-running server
+  // holds threads only for live connections; Stop() joins the rest.
+  std::unordered_map<uint64_t, std::thread> conn_threads_;
+  std::vector<uint64_t> finished_conns_;
+  uint64_t next_conn_id_ = 0;
   std::set<int> open_fds_;
   std::atomic<uint64_t> next_session_id_{1};
   std::atomic<size_t> sessions_opened_{0};

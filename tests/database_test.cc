@@ -46,6 +46,30 @@ TEST(DatabaseTest, PaperTable2VerticalPercentages) {
   EXPECT_EQ(t.column(1).StringAt(0), "Los Angeles");
 }
 
+// 9007199254740992 and 9007199254740993 are one double apart from nothing:
+// WHERE store = 9007199254740993 used to compare through double and count
+// both rows.
+TEST(DatabaseTest, Int64WhereEqualityIsExact) {
+  PctDatabase db;
+  ASSERT_TRUE(db.CreateTable("sales", GenerateSales(100)).ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO sales (store, salesAmt) VALUES "
+                         "(9007199254740992, 1), (9007199254740993, 2)")
+                  .ok());
+  for (ExecutionMode exec :
+       {ExecutionMode::kFused, ExecutionMode::kMaterialized}) {
+    QueryOptions options;
+    options.execution = exec;
+    Result<Table> r = db.Query(
+        "SELECT count(*) AS n, sum(salesAmt) AS s FROM sales "
+        "WHERE store = 9007199254740993",
+        options);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->num_rows(), 1u);
+    EXPECT_EQ(r->ColumnByName("n").value()->Int64At(0), 1);
+    EXPECT_EQ(r->ColumnByName("s").value()->GetValue(0).AsDouble(), 2.0);
+  }
+}
+
 TEST(DatabaseTest, PaperTable3HorizontalPercentages) {
   PctDatabase db;
   ASSERT_TRUE(db.CreateTable("sales", PaperExampleStoreSales()).ok());

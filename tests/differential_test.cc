@@ -4,10 +4,12 @@
 //
 // Generated shapes: group-by subsets (including none), multi-term Vpct with
 // BY subsets and grand totals, Hpct/Hagg (with DEFAULT 0) plus extra vertical
-// aggregates, plain vertical aggregates, WHERE clauses that keep everything,
-// some rows or nothing, NULL group keys, a dictionary-encoded string key,
-// NULL measures and groups whose INT64 measure sums to zero (division by
-// zero -> NULL, PAPER.md §1).
+// aggregates, plain vertical aggregates, seeded WHERE clauses (INT64 and
+// FLOAT64 ranges, dictionary-string comparisons with absent literals, IS
+// [NOT] NULL, INT64 beyond 2^53, literals on either side, AND/OR/NOT nesting)
+// that keep everything, some rows or nothing, NULL group keys, a
+// dictionary-encoded string key, NULL measures and groups whose INT64
+// measure sums to zero (division by zero -> NULL, PAPER.md §1).
 //
 // Paths: the three materialized Vpct strategies and the OLAP-window
 // baseline; the four CASE/SPJ horizontal methods; the partial-summary core
@@ -25,7 +27,8 @@
 // 4·n+1 ulp for an n-row table.
 //
 // The ctest run covers kDefaultCases seeded cases. PCTAGG_DIFF_SOAK=<cases>
-// runs a longer soak over the same seed sequence.
+// runs that many cases of the same seed sequence instead: a longer soak, or
+// the shorter run of the TSan target.
 
 #include <gtest/gtest.h>
 
@@ -59,7 +62,8 @@ const std::vector<std::string> kDims = {"d1", "d2", "d3", "s"};
 
 // d1(4) x d2(5, ~10% NULL) x d3(3) x s (6 dictionary strings, ~8% NULL);
 // a INT64 in [1,100] (~8% NULL), z INT64 in [-3,3] (small groups sum to
-// zero), x FLOAT64 in [0,100) (0 on d1 = 0, ~5% NULL).
+// zero), x FLOAT64 in [0,100) (0 on d1 = 0, ~5% NULL), b INT64 in
+// [2^53, 2^53 + 3] (~10% NULL; only WHERE clauses read it).
 Table Fact() {
   Rng rng(kSeed);
   Table t(Schema({{"d1", DataType::kInt64},
@@ -68,7 +72,9 @@ Table Fact() {
                   {"s", DataType::kString},
                   {"a", DataType::kInt64},
                   {"z", DataType::kInt64},
-                  {"x", DataType::kFloat64}}));
+                  {"x", DataType::kFloat64},
+                  {"b", DataType::kInt64}}));
+  Rng big_rng(kSeed + 53);  // own stream: the other columns are unchanged
   for (size_t i = 0; i < kRows; ++i) {
     const int64_t d1 = static_cast<int64_t>(rng.Uniform(4));
     Value d2 = rng.Uniform(10) == 0
@@ -83,9 +89,13 @@ Table Fact() {
     Value x = rng.Uniform(20) == 0 ? Value::Null()
               : d1 == 0            ? Value::Float64(0.0)
                                    : Value::Float64(rng.NextDouble() * 100.0);
+    Value b = big_rng.Uniform(10) == 0
+                  ? Value::Null()
+                  : Value::Int64((int64_t{1} << 53) +
+                                 static_cast<int64_t>(big_rng.Uniform(4)));
     t.AppendRow({Value::Int64(d1), d2,
                  Value::Int64(static_cast<int64_t>(rng.Uniform(3))), s, a,
-                 Value::Int64(rng.UniformRange(-3, 3)), x});
+                 Value::Int64(rng.UniformRange(-3, 3)), x, b});
   }
   return t;
 }
@@ -134,6 +144,84 @@ std::string Extra(Rng* rng, const std::string& measure) {
       return "max(" + measure + ")";
     default:
       return "avg(" + measure + ")";
+  }
+}
+
+std::string RandomCmpOp(Rng* rng, bool ordering_only = false) {
+  static const char* kOps[] = {"<", "<=", ">", ">=", "=", "<>"};
+  return kOps[rng->Uniform(ordering_only ? 4 : 6)];
+}
+
+// `col op literal`, with the literal on the left half of the time.
+std::string Comparison(Rng* rng, const std::string& col, const std::string& op,
+                       const std::string& literal) {
+  if (rng->Uniform(2) == 0) return col + " " + op + " " + literal;
+  static const std::vector<std::pair<std::string, std::string>> kMirror = {
+      {"<", ">"}, {"<=", ">="}, {">", "<"}, {">=", "<="}, {"=", "="},
+      {"<>", "<>"}};
+  for (const auto& [from, to] : kMirror) {
+    if (from == op) return literal + " " + to + " " + col;
+  }
+  return col + " " + op + " " + literal;
+}
+
+// One WHERE leaf: INT64 and FLOAT64 ranges, dictionary-string comparisons
+// (literals present in and absent from the dictionary), IS [NOT] NULL on the
+// NULL-bearing columns, and INT64 values beyond 2^53 on b.
+std::string RandomLeaf(Rng* rng) {
+  switch (rng->Uniform(7)) {
+    case 0: {  // INT64 dimension, values just outside the domain included
+      static const char* kCols[] = {"d1", "d2", "d3", "z"};
+      const std::string col = kCols[rng->Uniform(4)];
+      return Comparison(rng, col, RandomCmpOp(rng),
+                        std::to_string(rng->UniformRange(-4, 5)));
+    }
+    case 1: {  // INT64 measure range
+      const int64_t lo = rng->UniformRange(0, 90);
+      if (rng->Uniform(2) == 0) {
+        return "(a >= " + std::to_string(lo) + " AND a < " +
+               std::to_string(lo + 1 + rng->Uniform(40)) + ")";
+      }
+      return Comparison(rng, "a", RandomCmpOp(rng), std::to_string(lo));
+    }
+    case 2: {  // FLOAT64 range
+      const std::string lit =
+          std::to_string(rng->UniformRange(0, 99)) + "." +
+          std::to_string(rng->Uniform(10));
+      return Comparison(rng, "x", RandomCmpOp(rng), lit);
+    }
+    case 3: {  // dictionary string
+      static const char* kLits[] = {"'c0'", "'c2'", "'c5'", "'c9'", "'b'",
+                                    "'zz'"};
+      static const char* kOps[] = {"=", "<>", "<", ">="};
+      return Comparison(rng, "s", kOps[rng->Uniform(4)],
+                        kLits[rng->Uniform(6)]);
+    }
+    case 4: {  // NULLs in filter columns
+      static const char* kCols[] = {"d2", "s", "a", "x", "b"};
+      return std::string(kCols[rng->Uniform(5)]) +
+             (rng->Uniform(2) == 0 ? " IS NULL" : " IS NOT NULL");
+    }
+    default: {  // INT64 beyond 2^53, where doubles merge neighbours
+      const int64_t v =
+          (int64_t{1} << 53) + static_cast<int64_t>(rng->Uniform(4));
+      return Comparison(rng, "b", RandomCmpOp(rng), std::to_string(v));
+    }
+  }
+}
+
+// A seeded WHERE clause: leaves nested under AND, OR and NOT.
+std::string RandomWhere(Rng* rng, int depth) {
+  if (depth == 0 || rng->Uniform(3) == 0) return RandomLeaf(rng);
+  switch (rng->Uniform(3)) {
+    case 0:
+      return "(" + RandomWhere(rng, depth - 1) + " AND " +
+             RandomWhere(rng, depth - 1) + ")";
+    case 1:
+      return "(" + RandomWhere(rng, depth - 1) + " OR " +
+             RandomWhere(rng, depth - 1) + ")";
+    default:
+      return "NOT (" + RandomWhere(rng, depth - 1) + ")";
   }
 }
 
@@ -187,19 +275,7 @@ Case Generate(uint64_t seed) {
   }
   const size_t extras = rng.Uniform(3);
   for (size_t i = 0; i < extras; ++i) add(Extra(&rng, measure()));
-  switch (rng.Uniform(4)) {
-    case 1:
-      c.where = "d3 = 99";  // matches nothing
-      break;
-    case 2:
-      c.where = "d1 <> 1";
-      break;
-    case 3:
-      c.where = "s <> 'c2'";
-      break;
-    default:
-      break;
-  }
+  if (rng.Uniform(4) != 0) c.where = RandomWhere(&rng, 3);
   std::vector<std::string> select = group_by;
   select.insert(select.end(), terms.begin(), terms.end());
   std::string head = "SELECT " + Join(select, ", ") + " FROM f";

@@ -179,6 +179,75 @@ TEST_F(ExplainAnalyzeTest, HpctTracePopulatesPredictedVsActual) {
                    static_cast<double>(result->num_rows()));
 }
 
+// --- The filter node ---------------------------------------------------------
+
+// The first node labelled `label`, depth first.
+const obs::TraceNode* FindNode(const obs::TraceNode& node,
+                               const std::string& label) {
+  if (node.label == label) return &node;
+  for (const auto& child : node.children) {
+    if (const obs::TraceNode* hit = FindNode(*child, label)) return hit;
+  }
+  return nullptr;
+}
+
+// Children run one after another inside their parent's scope, so their
+// wall times never add up to more than the parent's.
+void ExpectChildrenFitInParent(const obs::TraceNode& node) {
+  double children_ms = 0;
+  for (const auto& child : node.children) {
+    children_ms += child->stats.wall_ms;
+    ExpectChildrenFitInParent(*child);
+  }
+  if (node.stats.wall_ms > 0) {
+    EXPECT_LE(children_ms, node.stats.wall_ms + 1e-6) << node.label;
+  }
+}
+
+TEST_F(ExplainAnalyzeTest, FilterNodeNamesTheEvaluatorThatRan) {
+  struct Case {
+    std::string where;
+    std::string evaluator;
+  };
+  const std::vector<Case> cases = {
+      {"dweek = 'Sat' OR dweek = 'Sun'", "mask kernel"},
+      {"salesAmt * 2 > 10", "generic fallback"},
+  };
+  ASSERT_TRUE(db_.CreateTable("sales_named", GenerateSalesNamed(400)).ok());
+  for (const Case& c : cases) {
+    Result<Table> kept =
+        db_.Query("SELECT count(*) AS n FROM sales_named WHERE " + c.where);
+    ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+    const int64_t want_rows = kept->column(0).Int64At(0);
+    for (ExecutionMode exec :
+         {ExecutionMode::kFused, ExecutionMode::kMaterialized}) {
+      SCOPED_TRACE(c.where + (exec == ExecutionMode::kFused ? " fused"
+                                                             : " materialized"));
+      obs::QueryTrace trace;
+      QueryOptions options;
+      options.execution = exec;
+      options.degree_of_parallelism = 4;
+      options.trace = &trace;
+      Result<Table> r = db_.Query(
+          "SELECT state, dweek, Vpct(salesAmt BY dweek) FROM sales_named "
+          "WHERE " +
+              c.where + " GROUP BY state, dweek",
+          options);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      const obs::TraceNode* filter = FindNode(trace.root(), "filter");
+      ASSERT_NE(filter, nullptr) << trace.Render();
+      // The fused scan evaluates the predicate in each morsel's worker.
+      const std::string want_detail =
+          exec == ExecutionMode::kFused ? c.evaluator + ", per morsel"
+                                        : c.evaluator;
+      EXPECT_EQ(filter->detail, want_detail) << trace.Render();
+      EXPECT_EQ(filter->stats.rows_in, 400u);
+      EXPECT_EQ(filter->stats.rows_out, static_cast<uint64_t>(want_rows));
+      ExpectChildrenFitInParent(trace.root());
+    }
+  }
+}
+
 // --- Surfacing through Query() ----------------------------------------------
 
 TEST_F(ExplainAnalyzeTest, ExplainAnalyzeThroughQueryReturnsPlanColumn) {

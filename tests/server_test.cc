@@ -11,6 +11,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -445,6 +448,54 @@ TEST_F(ServerTest, TraceSettingAppendsExecutedPlan) {
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(plain->status.ok());
   EXPECT_EQ(plain->body.find("-- trace\n"), std::string::npos);
+}
+
+// This process's thread count (entries of /proc/self/task).
+size_t ThreadCount() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// This process's virtual memory size in MiB (VmSize of /proc/self/status).
+// An exited but never joined thread keeps its stack mapped.
+double VmSizeMb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stod(line.substr(7)) / 1024;
+  }
+  return 0;
+}
+
+// A client that reconnects for every request must not leave a handler
+// thread (and its stack) behind per closed connection: finished handlers
+// are joined when the next connection is accepted. Connections are strictly
+// sequential; at most one is open at a time.
+TEST_F(ServerTest, FinishedConnectionThreadsAreReaped) {
+  StartServer(100);
+  auto ping_once = [this] {
+    Result<PctClient> client = Connect();
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    Result<WireResponse> pong = client->Ping();
+    ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+    EXPECT_TRUE(pong->status.ok());
+    client->Close();
+  };
+  ping_once();
+  const size_t threads_before = ThreadCount();
+  const double vm_before = VmSizeMb();
+  for (int i = 0; i < 300; ++i) {
+    ping_once();
+    if (HasFatalFailure()) return;
+  }
+  // The last connection's handler is joined only at the next accept.
+  EXPECT_LE(ThreadCount(), threads_before + 2);
+  EXPECT_LT(VmSizeMb() - vm_before, 256.0);
 }
 
 // Regression test for ctest -j: two servers must coexist in one process (and
