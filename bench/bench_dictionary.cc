@@ -13,8 +13,8 @@
 //      std::string dimension values (the seed stored strings row-wise in the
 //      column; the copies are built outside the timed region) encoded as
 //      's' + u32 length + bytes, then unordered_map::emplace — versus the
-//      current HashAggregate, where the 4-byte dictionary codes ride the
-//      all-fixed-width packed-key batch path. DOP 1/2/4/8;
+//      engine's GROUP BY kernel (FusedAggregate), where the 4-byte
+//      dictionary codes are the key words. DOP 1/2/4/8;
 //      "speedup_vs_seed" = seed_ms / new_ms. The DOP=1 row is the headline:
 //      it must be >= 2x or the binary exits 1.
 //   2. The same comparison for GROUP BY store alone — a single small-domain
@@ -49,8 +49,8 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/database.h"
-#include "engine/aggregate.h"
 #include "engine/csv.h"
+#include "engine/pipeline.h"
 #include "workload/generators.h"
 
 namespace {
@@ -153,11 +153,12 @@ double SeedReferenceAggregateMs(
 double NewAggregateMs(const Table& t, const std::vector<std::string>& keys,
                       size_t dop, size_t* out_groups) {
   pctagg::Stopwatch timer;
-  Result<Table> r = pctagg::HashAggregate(
-      t, keys, {{pctagg::AggFunc::kSum, pctagg::Col("salesAmt"), "s"}}, dop);
+  Result<Table> r = pctagg::FusedAggregate(
+      t, nullptr, keys,
+      {{pctagg::AggFunc::kSum, pctagg::Col("salesAmt"), "s"}}, dop);
   double ms = timer.ElapsedMillis();
   if (!r.ok()) {
-    std::fprintf(stderr, "HashAggregate failed: %s\n",
+    std::fprintf(stderr, "FusedAggregate failed: %s\n",
                  r.status().ToString().c_str());
     std::abort();
   }
@@ -175,7 +176,7 @@ double BestOf(size_t reps, Fn&& fn) {
   return best;
 }
 
-// One kernel comparison (seed loop vs HashAggregate across kDops), rendered
+// One kernel comparison (seed loop vs FusedAggregate across kDops), rendered
 // as the JSON object bench_smoke.py reads: {groups, seed_reference_ms,
 // dop1_regression_pct, dop: [{dop, ms, speedup_vs_seed}]}.
 std::string KernelSection(const Table& t, const std::vector<std::string>& keys,

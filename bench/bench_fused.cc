@@ -5,13 +5,13 @@
 // Two comparisons:
 //   1. The fused scan->filter->aggregate kernel (FusedAggregate) versus the
 //      materialized equivalent it replaces — Filter into an intermediate
-//      table, then HashAggregate over the copy — on the same WHERE +
-//      GROUP BY shape at DOP 1/2/4/8. The seed reference is the materialized
-//      pair at DOP=1; "speedup_vs_seed" is materialized_ms / fused_ms,
-//      measured on the same host in the same process, so the ratio transfers
-//      across CI hardware. The DOP=1 row doubles as the regression guard
-//      (dop1_regression_pct must stay <= 5: fusing must never lose to
-//      materializing serially).
+//      table, then FusedAggregate without a WHERE over the copy — on the
+//      same WHERE + GROUP BY shape at DOP 1/2/4/8. The seed reference is
+//      the materialized pair at DOP=1; "speedup_vs_seed" is
+//      materialized_ms / fused_ms, measured on the same host in the same
+//      process, so the ratio transfers across CI hardware. The DOP=1 row
+//      doubles as the regression guard (dop1_regression_pct must stay
+//      <= 5: fusing must never lose to materializing serially).
 //   2. End-to-end Vpct / Hpct queries through PctDatabase::Query with
 //      ExecutionMode::kFused vs kMaterialized at each DOP.
 // Beside the filtered kernel rows, "aggregate_unfiltered" times the same
@@ -34,13 +34,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/database.h"
-#include "engine/aggregate.h"
+#include "engine/parallel.h"
 #include "engine/pipeline.h"
 #include "engine/table_ops.h"
 #include "workload/generators.h"
@@ -81,9 +80,10 @@ std::vector<AggSpec> BenchAggs() {
 }
 
 // What the fused kernel replaces: Filter materializes the surviving rows
-// into a new table (the planner's Fw temp), then HashAggregate scans the
-// copy. Both operators are the engine's current morsel-parallel versions, so
-// the delta measured here is fusion itself, not an old scalar loop.
+// into a new table (the planner's Fw temp), then the GROUP BY kernel scans
+// the copy. Both operators are the engine's current morsel-parallel
+// versions, so the delta measured here is fusion itself, not an old scalar
+// loop.
 double MaterializedAggregateMs(const Table& t, size_t dop, size_t* out_groups) {
   pctagg::Stopwatch timer;
   Result<Table> fw = pctagg::Filter(t, BenchWhere());
@@ -91,11 +91,11 @@ double MaterializedAggregateMs(const Table& t, size_t dop, size_t* out_groups) {
     std::fprintf(stderr, "Filter failed: %s\n", fw.status().ToString().c_str());
     std::abort();
   }
-  Result<Table> r =
-      pctagg::HashAggregate(*fw, {"dweek", "monthNo"}, BenchAggs(), dop);
+  Result<Table> r = pctagg::FusedAggregate(*fw, nullptr, {"dweek", "monthNo"},
+                                           BenchAggs(), dop);
   double ms = timer.ElapsedMillis();
   if (!r.ok()) {
-    std::fprintf(stderr, "HashAggregate failed: %s\n",
+    std::fprintf(stderr, "FusedAggregate failed: %s\n",
                  r.status().ToString().c_str());
     std::abort();
   }
@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
   }
   size_t rows = EnvSize("PCTAGG_FUSED_BENCH_ROWS", smoke ? 20000 : 1000000);
   size_t reps = EnvSize("PCTAGG_FUSED_BENCH_REPS", smoke ? 1 : 3);
-  size_t num_cores = std::thread::hardware_concurrency();
+  size_t num_cores = pctagg::AvailableParallelism();
 
   std::fprintf(stderr, "[setup] generating sales n=%zu (cores=%zu)...\n", rows,
                num_cores);
@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
   }
   const Table& sales = *db.catalog().GetTable("sales").value();
 
-  // --- Kernel comparison: materialized Filter+HashAggregate (dop=1) is the
+  // --- Kernel comparison: materialized Filter+FusedAggregate (dop=1) is the
   // seed reference; FusedAggregate runs at each DOP.
   size_t seed_groups = 0;
   double seed_ms = BestOf(

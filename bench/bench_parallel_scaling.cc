@@ -6,17 +6,18 @@
 //   1. The Fk-from-F aggregation kernel (GROUP BY dweek, monthNo over
 //      sales): a faithful bench-local copy of the *seed* inner loop
 //      (Table::AppendKeyBytes string key per row + unordered_map::emplace
-//      per row — one node allocation per input row) versus the current
-//      HashAggregate (packed KeyEncoder keys + find-before-insert KeyMap +
-//      morsel-parallel two-phase merge) at DOP 1/2/4/8. "speedup_vs_seed"
+//      per row — one node allocation per input row) versus the engine's
+//      GROUP BY kernel, FusedAggregate (inline register keys, morsel-parallel
+//      partials merged once) at DOP 1/2/4/8. "speedup_vs_seed"
 //      is seed_ms / new_ms; the DOP=1 row doubles as the serial regression
 //      guard (dop1_regression_pct must stay <= 5).
 //   2. End-to-end Vpct / Hpct / OLAP-baseline queries through
 //      PctDatabase::Query at each DOP.
 //
-// num_cores is recorded honestly: on a single-core host the DOP>1 rows show
-// scheduling overhead, not scaling, and the headline number is the kernel
-// rewrite's speedup over the seed loop.
+// num_cores is AvailableParallelism(), the CPUs this process may run on: on
+// a single-core host the DOP>1 rows show scheduling overhead, not scaling,
+// and the headline number is the kernel rewrite's speedup over the seed
+// loop.
 //
 // Flags / environment:
 //   --smoke                   tiny rows + 1 repetition (TSan smoke target)
@@ -28,15 +29,14 @@
 #include <cstring>
 #include <limits>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/database.h"
-#include "engine/aggregate.h"
 #include "engine/parallel.h"
+#include "engine/pipeline.h"
 #include "workload/generators.h"
 
 namespace {
@@ -57,9 +57,9 @@ size_t EnvSize(const char* name, size_t fallback) {
 constexpr size_t kDops[] = {1, 2, 4, 8};
 
 // The seed's aggregation group-assignment + accumulate loop, copied
-// shape-for-shape from the v0 HashAggregate so the baseline stays measurable
-// after the engine moved on. Per row it builds the composite key through the
-// type-tagged variant path (Table::AppendKeyBytes) and calls
+// shape-for-shape from the v0 hash aggregation so the baseline stays
+// measurable after the engine moved on. Per row it builds the composite key
+// through the type-tagged variant path (Table::AppendKeyBytes) and calls
 // unordered_map::emplace — which in libstdc++ allocates a map node before
 // probing (plus the key-string copy into it), i.e. per-row heap allocation
 // even when the group already exists — then updates the same
@@ -119,12 +119,12 @@ double SeedReferenceAggregateMs(const Table& t,
 
 double NewAggregateMs(const Table& t, size_t dop, size_t* out_groups) {
   pctagg::Stopwatch timer;
-  Result<Table> r = pctagg::HashAggregate(
-      t, {"dweek", "monthNo"},
+  Result<Table> r = pctagg::FusedAggregate(
+      t, nullptr, {"dweek", "monthNo"},
       {{pctagg::AggFunc::kSum, pctagg::Col("salesAmt"), "s"}}, dop);
   double ms = timer.ElapsedMillis();
   if (!r.ok()) {
-    std::fprintf(stderr, "HashAggregate failed: %s\n",
+    std::fprintf(stderr, "FusedAggregate failed: %s\n",
                  r.status().ToString().c_str());
     std::abort();
   }
@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
   }
   size_t rows = EnvSize("PCTAGG_PARALLEL_BENCH_ROWS", smoke ? 20000 : 1000000);
   size_t reps = EnvSize("PCTAGG_PARALLEL_BENCH_REPS", smoke ? 1 : 3);
-  size_t num_cores = std::thread::hardware_concurrency();
+  size_t num_cores = pctagg::AvailableParallelism();
 
   std::fprintf(stderr, "[setup] generating sales n=%zu (cores=%zu)...\n", rows,
                num_cores);
@@ -223,7 +223,7 @@ int main(int argc, char** argv) {
       sales.schema().FindColumn("monthNo").value()};
   size_t value_col = sales.schema().FindColumn("salesAmt").value();
 
-  // --- Kernel comparison: seed scalar loop vs HashAggregate at each DOP.
+  // --- Kernel comparison: seed scalar loop vs FusedAggregate at each DOP.
   size_t seed_groups = 0;
   double seed_ms = BestOf(reps, [&] {
     return SeedReferenceAggregateMs(sales, key_cols, value_col, &seed_groups);

@@ -20,6 +20,10 @@ Fails (exit 1) only when BOTH the DOP=1 speedup ratio drops AND the DOP=1
 absolute time rises by more than --max-regression-pct versus the committed
 baseline — a real kernel regression moves both; host noise moves one.
 
+DOP>1 rows measure scaling on the CPUs the process may use, so they are
+printed as "not comparable" when the baseline's num_cores differs from this
+host's (the CPUs in this process's affinity mask).
+
 The fresh JSON and the comparison report land in --out for artifact upload.
 """
 
@@ -39,6 +43,12 @@ def load_json(path):
 
 def by_dop(report, field):
     return {row["dop"]: row[field] for row in report["aggregate"]["dop"]}
+
+
+def host_cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def main():
@@ -96,13 +106,22 @@ def main():
     base_ms = by_dop(baseline, "ms")
     fresh_ms = by_dop(fresh, "ms")
 
-    lines = ["bench smoke: %d rows, %d reps (baseline: %d rows)"
-             % (args.rows, args.reps, baseline["rows"])]
+    cores = host_cores()
+    base_cores = baseline.get("num_cores")
+    lines = ["bench smoke: %d rows, %d reps (baseline: %d rows, %s cores; "
+             "host: %d cores)"
+             % (args.rows, args.reps, baseline["rows"], base_cores, cores)]
     failed = False
     for dop in sorted(base_speedup):
         if dop not in fresh_speedup:
             lines.append("dop=%d: MISSING from fresh run" % dop)
             failed = True
+            continue
+        if dop > 1 and base_cores != cores:
+            lines.append(
+                "dop=%d: not comparable (baseline measured on %s cores, "
+                "host has %d): ms %.2f -> %.2f"
+                % (dop, base_cores, cores, base_ms[dop], fresh_ms[dop]))
             continue
         ratio_pct = ((fresh_speedup[dop] - base_speedup[dop])
                      / base_speedup[dop] * 100.0)

@@ -11,6 +11,7 @@
 #include "engine/csv.h"
 #include "engine/merge.h"
 #include "engine/parallel.h"
+#include "engine/pipeline.h"
 #include "engine/table_ops.h"
 #include "obs/metrics.h"
 #include "sql/parser.h"
@@ -655,8 +656,8 @@ Result<AppendOutcome> PctDatabase::AppendRows(const std::string& name,
           {"recompute[" + group_cols + "]", recompute_cost, !merge});
     }
     if (merge) {
-      Result<Table> delta_summary =
-          HashAggregate(delta, p.recipe.group_by, p.recipe.aggs, dop);
+      Result<Table> delta_summary = FusedAggregate(
+          delta, nullptr, p.recipe.group_by, p.recipe.aggs, dop);
       if (delta_summary.ok()) {
         Result<Table> merged =
             MergeSummaries(*p.summary, *delta_summary,

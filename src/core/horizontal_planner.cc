@@ -5,6 +5,7 @@
 #include "common/string_util.h"
 #include "engine/aggregate.h"
 #include "engine/join.h"
+#include "engine/pipeline.h"
 #include "engine/pivot.h"
 #include "engine/table_ops.h"
 
@@ -88,8 +89,8 @@ Status NullGroupsWithoutValues(const Table& source, const BlockSpec& spec,
                                Table* block) {
   PCTAGG_ASSIGN_OR_RETURN(
       Table counts,
-      HashAggregate(source, spec.group_by,
-                    {{AggFunc::kCount, spec.value, "__n"}}));
+      FusedAggregate(source, nullptr, spec.group_by,
+                     {{AggFunc::kCount, spec.value, "__n"}}));
   Column n(DataType::kInt64);
   if (spec.group_by.empty()) {
     for (size_t r = 0; r < block->num_rows(); ++r) {
@@ -140,7 +141,8 @@ Result<Table> ComputeCaseBlock(const Table& source, const BlockSpec& spec,
   // Naive O(N)-CASE evaluation of the same statement. Combinations are
   // sorted so the result columns line up with the hash-dispatch pivot.
   PCTAGG_ASSIGN_OR_RETURN(Table combos, Distinct(source, spec.by_columns));
-  PCTAGG_ASSIGN_OR_RETURN(combos, Sort(combos, spec.by_columns));
+  PCTAGG_ASSIGN_OR_RETURN(combos,
+                          SortBy(combos, AscendingKeys(spec.by_columns)));
   const size_t n_cells = combos.num_rows();
   std::vector<std::string> cell_names;
   cell_names.reserve(n_cells);
@@ -184,8 +186,8 @@ Result<Table> ComputeCaseBlock(const Table& source, const BlockSpec& spec,
   if (spec.percent) {
     aggs.push_back({AggFunc::kSum, spec.value, "__total"});
   }
-  PCTAGG_ASSIGN_OR_RETURN(Table agg,
-                          HashAggregate(source, spec.group_by, aggs));
+  PCTAGG_ASSIGN_OR_RETURN(
+      Table agg, FusedAggregate(source, nullptr, spec.group_by, aggs));
 
   // Post-projection: divisions for percent mode, DEFAULT-0 coalescing, and
   // the final cell names.
@@ -212,7 +214,8 @@ Result<Table> ComputeCaseBlock(const Table& source, const BlockSpec& spec,
 // (DMKD Section 3.4), generalized with the group-total division for Hpct.
 Result<Table> ComputeSpjBlock(const Table& source, const BlockSpec& spec) {
   PCTAGG_ASSIGN_OR_RETURN(Table combos, Distinct(source, spec.by_columns));
-  PCTAGG_ASSIGN_OR_RETURN(combos, Sort(combos, spec.by_columns));
+  PCTAGG_ASSIGN_OR_RETURN(combos,
+                          SortBy(combos, AscendingKeys(spec.by_columns)));
   const size_t n_cells = combos.num_rows();
   std::vector<std::string> cell_names;
   cell_names.reserve(n_cells);
@@ -230,14 +233,16 @@ Result<Table> ComputeSpjBlock(const Table& source, const BlockSpec& spec) {
                               Filter(source, ComboPredicate(combos, i)));
       PCTAGG_ASSIGN_OR_RETURN(
           Table fi,
-          HashAggregate(filtered, {}, {{cell_func, spec.value, cell_names[i]}}));
+          FusedAggregate(filtered, nullptr, {},
+                         {{cell_func, spec.value, cell_names[i]}}));
       PCTAGG_RETURN_IF_ERROR(block.AddColumn(fi.schema().column(0),
                                              fi.column(0)));
     }
     if (spec.percent) {
       PCTAGG_ASSIGN_OR_RETURN(
           Table tot,
-          HashAggregate(source, {}, {{AggFunc::kSum, spec.value, "__total"}}));
+          FusedAggregate(source, nullptr, {},
+                         {{AggFunc::kSum, spec.value, "__total"}}));
       PCTAGG_RETURN_IF_ERROR(
           block.AddColumn(tot.schema().column(0), tot.column(0)));
     }
@@ -261,8 +266,8 @@ Result<Table> ComputeSpjBlock(const Table& source, const BlockSpec& spec) {
   Table current;
   if (spec.percent) {
     PCTAGG_ASSIGN_OR_RETURN(
-        current, HashAggregate(source, spec.group_by,
-                               {{AggFunc::kSum, spec.value, "__total"}}));
+        current, FusedAggregate(source, nullptr, spec.group_by,
+                                {{AggFunc::kSum, spec.value, "__total"}}));
   } else {
     PCTAGG_ASSIGN_OR_RETURN(current, Distinct(source, spec.group_by));
   }
@@ -271,8 +276,8 @@ Result<Table> ComputeSpjBlock(const Table& source, const BlockSpec& spec) {
     PCTAGG_ASSIGN_OR_RETURN(Table filtered,
                             Filter(source, ComboPredicate(combos, i)));
     PCTAGG_ASSIGN_OR_RETURN(
-        Table fi, HashAggregate(filtered, spec.group_by,
-                                {{cell_func, spec.value, cell_names[i]}}));
+        Table fi, FusedAggregate(filtered, nullptr, spec.group_by,
+                                 {{cell_func, spec.value, cell_names[i]}}));
     std::vector<JoinOutput> outputs;
     for (size_t c = 0; c < current.num_columns(); ++c) {
       outputs.push_back(JoinOutput::Left(current.schema().column(c).name));
@@ -610,8 +615,8 @@ Result<Plan> PlanHorizontalQuery(const AnalyzedQuery& query,
     plan.AddStep(sql, [src = source, va, group_by = query.group_by,
                        extra_aggs](ExecContext* ctx) -> Status {
       PCTAGG_ASSIGN_OR_RETURN(const Table* input, ctx->catalog->GetTable(src));
-      PCTAGG_ASSIGN_OR_RETURN(Table out,
-                              HashAggregate(*input, group_by, extra_aggs));
+      PCTAGG_ASSIGN_OR_RETURN(
+          Table out, FusedAggregate(*input, nullptr, group_by, extra_aggs));
       ctx->catalog->CreateOrReplaceTable(va, std::move(out));
       return Status::OK();
     });
@@ -683,7 +688,8 @@ Result<Plan> PlanHorizontalQuery(const AnalyzedQuery& query,
     plan.AddStep("/* display */ ORDER BY " + Join(query.group_by, ", "),
                  [fh, group_by = query.group_by](ExecContext* ctx) -> Status {
                    PCTAGG_ASSIGN_OR_RETURN(Table* t, ctx->catalog->GetTable(fh));
-                   PCTAGG_ASSIGN_OR_RETURN(Table sorted, Sort(*t, group_by));
+                   PCTAGG_ASSIGN_OR_RETURN(
+                       Table sorted, SortBy(*t, AscendingKeys(group_by)));
                    *t = std::move(sorted);
                    return Status::OK();
                  });

@@ -96,7 +96,8 @@ Result<Table> RollUp(const Table& src, const std::vector<std::string>& cols,
                      const std::vector<std::string>& from, size_t dop) {
   std::vector<AggSpec> combine = CombineSpecs(partials);
   for (size_t i = 0; i < from.size(); ++i) combine[i].input = Col(from[i]);
-  PCTAGG_ASSIGN_OR_RETURN(Table t, HashAggregate(src, cols, combine, dop));
+  PCTAGG_ASSIGN_OR_RETURN(Table t,
+                          FusedAggregate(src, nullptr, cols, combine, dop));
   if (cols.empty() && src.num_rows() == 0) {
     for (size_t a = 0; a < partials.size(); ++a) {
       const bool is_count = partials[a].func == AggFunc::kCount ||
@@ -551,8 +552,8 @@ Result<std::vector<Table>> LevelTotals(const CorePlan& plan,
         best == kNone ? plan.pset.name(plan.terms[ti].main) : "__tot";
     PCTAGG_ASSIGN_OR_RETURN(
         out[ti],
-        HashAggregate(src, by[ti], {{AggFunc::kSum, Col(src_col), "__tot"}},
-                      dop));
+        FusedAggregate(src, nullptr, by[ti],
+                       {{AggFunc::kSum, Col(src_col), "__tot"}}, dop));
   }
   return out;
 }

@@ -58,7 +58,7 @@ obs::Gauge& BytesGauge() {
 // per column, plus the dictionary pool of string columns. Dictionaries are
 // shared with the base table when codes were adopted, so this over-counts in
 // the worst case — acceptable for a budget, and summary tables re-interned
-// by HashAggregate own small dictionaries of just the group values.
+// by FusedAggregate own small dictionaries of just the group values.
 size_t ApproxTableBytes(const Table& t) {
   size_t bytes = 0;
   for (size_t i = 0; i < t.num_columns(); ++i) {

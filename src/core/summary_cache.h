@@ -17,7 +17,7 @@
 namespace pctagg {
 
 // How an entry's summary table was computed from its base table: the GROUP BY
-// columns and the aggregate list handed to HashAggregate. The append path
+// columns and the aggregate list handed to FusedAggregate. The append path
 // replays the recipe over just the appended rows (the delta) and merges the
 // result into the cached summary instead of rescanning the whole table.
 struct SummaryRecipe {

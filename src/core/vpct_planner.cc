@@ -7,6 +7,7 @@
 #include "core/missing_rows.h"
 #include "engine/aggregate.h"
 #include "engine/join.h"
+#include "engine/pipeline.h"
 #include "engine/table_ops.h"
 #include "engine/update.h"
 #include "obs/trace.h"
@@ -100,7 +101,8 @@ void AddCacheableAggregateStep(Plan* plan, const std::string& src,
       generation = ctx->summaries->GenerationFor(src);
     }
     PCTAGG_ASSIGN_OR_RETURN(const Table* input, ctx->catalog->GetTable(src));
-    PCTAGG_ASSIGN_OR_RETURN(Table out, HashAggregate(*input, group_by, aggs));
+    PCTAGG_ASSIGN_OR_RETURN(Table out,
+                            FusedAggregate(*input, nullptr, group_by, aggs));
     if (!cache_key.empty() && ctx->summaries != nullptr) {
       // Store the recipe alongside the summary so an append to `src` can
       // delta-maintain this entry instead of dropping it (when every agg is
@@ -490,7 +492,8 @@ Result<Plan> PlanVpctQuery(const AnalyzedQuery& query,
         if (t->schema().HasColumn(g)) sortable.push_back(g);
       }
       if (sortable.empty()) return Status::OK();
-      PCTAGG_ASSIGN_OR_RETURN(Table sorted, Sort(*t, sortable));
+      PCTAGG_ASSIGN_OR_RETURN(Table sorted,
+                              SortBy(*t, AscendingKeys(sortable)));
       *t = std::move(sorted);
       return Status::OK();
     });

@@ -1,12 +1,11 @@
 #ifndef PCTAGG_ENGINE_AGG_INTERNAL_H_
 #define PCTAGG_ENGINE_AGG_INTERNAL_H_
 
-// Shared internals of the grouped-aggregation kernels. HashAggregate (the
-// materialized path) and FusedAggregate (the push-based pipeline) both build
-// on these accumulator structs, micro-plans and the emission routine, which
-// is what makes the fused path bit-identical to the materialized one by
-// construction: the per-row accumulation and the final Value emission are
-// the same code.
+// Accumulation internals of the engine's one GROUP BY kernel,
+// FusedAggregate (engine/pipeline.h): the accumulator struct, the per-spec
+// accumulation micro-plans, the partial merge and the output emission. The
+// kernel's key tiers and merge strategies all fold rows through this code,
+// so a group's result does not depend on which tier keyed it.
 
 #include <algorithm>
 #include <cstdint>
@@ -30,8 +29,14 @@ struct AggState {
   int64_t row_count = 0;  // all rows (count(*))
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
-  std::string smin;
-  std::string smax;
+  // INT64 min/max stay int64: a double holds integers exactly only up to
+  // 2^53, and casting a rounded double back near INT64_MAX is undefined.
+  int64_t imin = std::numeric_limits<int64_t>::max();
+  int64_t imax = std::numeric_limits<int64_t>::min();
+  // String min/max point into the input column's dictionary, whose strings
+  // never move while the aggregation runs.
+  const std::string* smin = nullptr;
+  const std::string* smax = nullptr;
   bool saw_value = false;
 };
 
@@ -71,8 +76,10 @@ enum class AccKind : uint8_t {
   kSumFloat,   // sum, saw_value
   kAvg,        // sum, count, saw_value
   kAvgStr,     // count, saw_value (degenerate avg-over-string: sum stays 0)
-  kMinNum,     // min, saw_value
-  kMaxNum,     // max, saw_value
+  kMinInt,     // imin, saw_value
+  kMaxInt,     // imax, saw_value
+  kMinFloat,   // min, saw_value
+  kMaxFloat,   // max, saw_value
   kMinStr,     // smin, saw_value
   kMaxStr,     // smax, saw_value
 };
@@ -113,6 +120,7 @@ inline AccPlan MakeAccPlan(const AggSpec& spec, const Column& input) {
       break;
   }
   const bool is_string = input.type() == DataType::kString;
+  const bool is_int = input.type() == DataType::kInt64;
   switch (spec.func) {
     case AggFunc::kCountStar:
       break;  // handled above
@@ -121,17 +129,20 @@ inline AccPlan MakeAccPlan(const AggSpec& spec, const Column& input) {
       break;
     case AggFunc::kSum:
       // sum() over strings is rejected during validation.
-      ap.kind = input.type() == DataType::kInt64 ? AccKind::kSumInt
-                                                 : AccKind::kSumFloat;
+      ap.kind = is_int ? AccKind::kSumInt : AccKind::kSumFloat;
       break;
     case AggFunc::kAvg:
       ap.kind = is_string ? AccKind::kAvgStr : AccKind::kAvg;
       break;
     case AggFunc::kMin:
-      ap.kind = is_string ? AccKind::kMinStr : AccKind::kMinNum;
+      ap.kind = is_string ? AccKind::kMinStr
+                : is_int    ? AccKind::kMinInt
+                            : AccKind::kMinFloat;
       break;
     case AggFunc::kMax:
-      ap.kind = is_string ? AccKind::kMaxStr : AccKind::kMaxNum;
+      ap.kind = is_string ? AccKind::kMaxStr
+                : is_int    ? AccKind::kMaxInt
+                            : AccKind::kMaxFloat;
       break;
   }
   return ap;
@@ -226,21 +237,35 @@ inline void AccumulateMorsel(const AccPlan& ap, const std::vector<uint32_t>& gid
         st.saw_value = true;
       }
       break;
-    case AccKind::kMinNum:
+    case AccKind::kMinInt:
       for (size_t row = begin; row < end; ++row) {
         if (!ap.validity[row]) continue;
         AggState& st = col[gid[row - begin]];
-        double v = ap.NumericAt(row);
-        if (v < st.min) st.min = v;
+        if (ap.i64[row] < st.imin) st.imin = ap.i64[row];
         st.saw_value = true;
       }
       break;
-    case AccKind::kMaxNum:
+    case AccKind::kMaxInt:
       for (size_t row = begin; row < end; ++row) {
         if (!ap.validity[row]) continue;
         AggState& st = col[gid[row - begin]];
-        double v = ap.NumericAt(row);
-        if (v > st.max) st.max = v;
+        if (ap.i64[row] > st.imax) st.imax = ap.i64[row];
+        st.saw_value = true;
+      }
+      break;
+    case AccKind::kMinFloat:
+      for (size_t row = begin; row < end; ++row) {
+        if (!ap.validity[row]) continue;
+        AggState& st = col[gid[row - begin]];
+        if (ap.f64[row] < st.min) st.min = ap.f64[row];
+        st.saw_value = true;
+      }
+      break;
+    case AccKind::kMaxFloat:
+      for (size_t row = begin; row < end; ++row) {
+        if (!ap.validity[row]) continue;
+        AggState& st = col[gid[row - begin]];
+        if (ap.f64[row] > st.max) st.max = ap.f64[row];
         st.saw_value = true;
       }
       break;
@@ -249,7 +274,7 @@ inline void AccumulateMorsel(const AccPlan& ap, const std::vector<uint32_t>& gid
         if (!ap.validity[row]) continue;
         AggState& st = col[gid[row - begin]];
         const std::string& s = ap.StringAt(row);
-        if (!st.saw_value || s < st.smin) st.smin = s;
+        if (st.smin == nullptr || s < *st.smin) st.smin = &s;
         st.saw_value = true;
       }
       break;
@@ -258,17 +283,17 @@ inline void AccumulateMorsel(const AccPlan& ap, const std::vector<uint32_t>& gid
         if (!ap.validity[row]) continue;
         AggState& st = col[gid[row - begin]];
         const std::string& s = ap.StringAt(row);
-        if (!st.saw_value || s > st.smax) st.smax = s;
+        if (st.smax == nullptr || s > *st.smax) st.smax = &s;
         st.saw_value = true;
       }
       break;
   }
 }
 
-// Selection variant used by the fused path's filtered morsels: accumulates
-// only the rows listed in `rows` (ascending input order, so per-group value
-// sequences match what Filter-then-aggregate would have produced), with
-// gid[i] the local group id of rows[i].
+// Selection variant for filtered morsels: accumulates only the rows listed
+// in `rows` (ascending input order, so per-group value sequences match an
+// aggregation over the filtered copy), with gid[i] the local group id of
+// rows[i].
 inline void AccumulateRows(const AccPlan& ap, const uint32_t* gid,
                            const uint32_t* rows, size_t count,
                            std::vector<AggState>& col) {
@@ -317,23 +342,39 @@ inline void AccumulateRows(const AccPlan& ap, const uint32_t* gid,
         st.saw_value = true;
       }
       break;
-    case AccKind::kMinNum:
+    case AccKind::kMinInt:
       for (size_t i = 0; i < count; ++i) {
         const uint32_t row = rows[i];
         if (!ap.validity[row]) continue;
         AggState& st = col[gid[i]];
-        double v = ap.NumericAt(row);
-        if (v < st.min) st.min = v;
+        if (ap.i64[row] < st.imin) st.imin = ap.i64[row];
         st.saw_value = true;
       }
       break;
-    case AccKind::kMaxNum:
+    case AccKind::kMaxInt:
       for (size_t i = 0; i < count; ++i) {
         const uint32_t row = rows[i];
         if (!ap.validity[row]) continue;
         AggState& st = col[gid[i]];
-        double v = ap.NumericAt(row);
-        if (v > st.max) st.max = v;
+        if (ap.i64[row] > st.imax) st.imax = ap.i64[row];
+        st.saw_value = true;
+      }
+      break;
+    case AccKind::kMinFloat:
+      for (size_t i = 0; i < count; ++i) {
+        const uint32_t row = rows[i];
+        if (!ap.validity[row]) continue;
+        AggState& st = col[gid[i]];
+        if (ap.f64[row] < st.min) st.min = ap.f64[row];
+        st.saw_value = true;
+      }
+      break;
+    case AccKind::kMaxFloat:
+      for (size_t i = 0; i < count; ++i) {
+        const uint32_t row = rows[i];
+        if (!ap.validity[row]) continue;
+        AggState& st = col[gid[i]];
+        if (ap.f64[row] > st.max) st.max = ap.f64[row];
         st.saw_value = true;
       }
       break;
@@ -343,7 +384,7 @@ inline void AccumulateRows(const AccPlan& ap, const uint32_t* gid,
         if (!ap.validity[row]) continue;
         AggState& st = col[gid[i]];
         const std::string& s = ap.StringAt(row);
-        if (!st.saw_value || s < st.smin) st.smin = s;
+        if (st.smin == nullptr || s < *st.smin) st.smin = &s;
         st.saw_value = true;
       }
       break;
@@ -353,7 +394,7 @@ inline void AccumulateRows(const AccPlan& ap, const uint32_t* gid,
         if (!ap.validity[row]) continue;
         AggState& st = col[gid[i]];
         const std::string& s = ap.StringAt(row);
-        if (!st.saw_value || s > st.smax) st.smax = s;
+        if (st.smax == nullptr || s > *st.smax) st.smax = &s;
         st.saw_value = true;
       }
       break;
@@ -479,11 +520,15 @@ inline void MergeState(AggState& d, const AggState& s) {
   d.isum += s.isum;
   if (s.min < d.min) d.min = s.min;
   if (s.max > d.max) d.max = s.max;
-  if (s.saw_value) {
-    if (!d.saw_value || s.smin < d.smin) d.smin = s.smin;
-    if (!d.saw_value || s.smax > d.smax) d.smax = s.smax;
-    d.saw_value = true;
+  if (s.imin < d.imin) d.imin = s.imin;
+  if (s.imax > d.imax) d.imax = s.imax;
+  if (s.smin != nullptr && (d.smin == nullptr || *s.smin < *d.smin)) {
+    d.smin = s.smin;
   }
+  if (s.smax != nullptr && (d.smax == nullptr || *s.smax > *d.smax)) {
+    d.smax = s.smax;
+  }
+  d.saw_value = d.saw_value || s.saw_value;
 }
 
 // One group's accumulators gathered back into [agg] order for emission.
@@ -495,8 +540,8 @@ inline std::vector<AggState> GatherStates(
   return gs;
 }
 
-// Group-by resolution + aggregate validation + vectorized input evaluation,
-// shared verbatim between the materialized and fused kernels. `acc_plans`
+// Group-by resolution + aggregate validation + vectorized input evaluation.
+// `acc_plans`
 // holds raw pointers into `agg_inputs`; both stay valid across moves of the
 // whole struct (vector storage is stable under move).
 struct AggBindings {
@@ -598,9 +643,9 @@ inline Result<Table> EmitAggOutput(const Table& input,
           if (!st.saw_value) {
             row.push_back(Value::Null());
           } else if (out_types[a] == DataType::kString) {
-            row.push_back(Value::String(st.smin));
+            row.push_back(Value::String(*st.smin));
           } else if (out_types[a] == DataType::kInt64) {
-            row.push_back(Value::Int64(static_cast<int64_t>(st.min)));
+            row.push_back(Value::Int64(st.imin));
           } else {
             row.push_back(Value::Float64(st.min));
           }
@@ -609,9 +654,9 @@ inline Result<Table> EmitAggOutput(const Table& input,
           if (!st.saw_value) {
             row.push_back(Value::Null());
           } else if (out_types[a] == DataType::kString) {
-            row.push_back(Value::String(st.smax));
+            row.push_back(Value::String(*st.smax));
           } else if (out_types[a] == DataType::kInt64) {
-            row.push_back(Value::Int64(static_cast<int64_t>(st.max)));
+            row.push_back(Value::Int64(st.imax));
           } else {
             row.push_back(Value::Float64(st.max));
           }

@@ -4,9 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "common/result.h"
 #include "engine/expression.h"
-#include "engine/table.h"
 
 namespace pctagg {
 
@@ -31,24 +29,6 @@ struct AggSpec {
   ExprPtr input;  // nullptr only for kCountStar
   std::string output_name;
 };
-
-// Hash-based GROUP BY over `group_by` columns (possibly empty: one global
-// group; with zero input rows the global group still yields one row of
-// NULL/0 aggregates, matching SQL). NULL semantics follow sum()/count():
-// NULL inputs are skipped, an all-NULL group aggregates to NULL (count: 0).
-//
-// Output schema: the group-by columns (input types preserved) followed by one
-// column per AggSpec.
-//
-// `dop` sets the degree of parallelism for the morsel-driven two-phase
-// parallel path (thread-local partial tables, partitioned merge); 0 means
-// "inherit CurrentDop()" (see engine/parallel.h). Group rows are emitted in
-// first-seen input order at every dop; integer aggregates are bit-identical
-// across dop, float sums may differ by reassociation (see
-// docs/PARALLELISM.md).
-Result<Table> HashAggregate(const Table& input,
-                            const std::vector<std::string>& group_by,
-                            const std::vector<AggSpec>& aggs, size_t dop = 0);
 
 }  // namespace pctagg
 

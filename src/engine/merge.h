@@ -11,14 +11,14 @@ namespace pctagg {
 
 // Merges `delta` — the same GROUP BY / aggregate recipe evaluated over just
 // a batch of appended rows — into `existing`, a cached summary of the rows
-// before the batch. Both tables must share the HashAggregate output shape:
+// before the batch. Both tables must share the FusedAggregate output shape:
 // the first `num_group_cols` columns are the group key, followed by one
 // column per entry of `aggs`, pairwise type-identical. Every agg must be
 // distributive (sum/count/count(*)/min/max; avg is rejected).
 //
 // Groups present in both are combined cell-wise per aggregate function with
 // SQL NULL semantics (an all-NULL sum stays NULL until a non-NULL delta
-// arrives); groups only in `delta` are appended. Because HashAggregate emits
+// arrives); groups only in `delta` are appended. Because FusedAggregate emits
 // groups in first-seen input order, the merged table is exactly what
 // recomputing over old-rows-then-new-rows would produce: old groups keep
 // their positions, new groups follow in delta order. Integer aggregates are

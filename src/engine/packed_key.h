@@ -62,11 +62,6 @@ class KeyEncoder {
   // Appends the packed key for `row` to `*out` (does not clear it).
   void AppendKey(size_t row, std::string* out) const;
 
-  // Always true since strings became fixed-width codes: every key is exactly
-  // fixed_width() bytes and EncodeFixedBatch applies. Kept for call sites
-  // that still guard their batch path on it.
-  bool fixed_only() const { return fixed_only_; }
-
   // Writes the packed keys for rows [begin, end) into `out` at a stride of
   // fixed_width() bytes per row, one column at a time so the per-column type
   // dispatch runs once per column instead of once per row. Byte-identical to
@@ -99,7 +94,6 @@ class KeyEncoder {
   // via Col::translate); boxed so cols_ pointers survive vector growth.
   std::vector<std::vector<uint32_t>> translations_;
   size_t fixed_width_ = 0;
-  bool fixed_only_ = true;
 };
 
 // An insert-ordered map from packed key to a dense id [0, size),

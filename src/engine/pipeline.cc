@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <optional>
 
 #include "common/cpu.h"
@@ -24,7 +25,7 @@ using aggdetail::AggState;
 constexpr uint32_t kEmpty = UINT32_MAX;
 
 // ---------------------------------------------------------------------------
-// Inline key table: the fused keying tier for <= 2 group columns. Instead of
+// Inline key table: the keying tier for <= 2 group columns. Instead of
 // packing tag+payload bytes into a key buffer and re-reading them through the
 // generic KeyMap arena, each key is two 64-bit payload words (int64 bits,
 // float64 bits, or the 4-byte dictionary code) plus a null-flag byte held in
@@ -32,7 +33,7 @@ constexpr uint32_t kEmpty = UINT32_MAX;
 // is exactly packed-key equality — per column, both NULL or both valid with
 // identical payload bits; the column types are fixed per query so no type
 // tag is needed — which keeps group identity, and therefore results,
-// identical to the materialized path.
+// identical to the packed tier's.
 // ---------------------------------------------------------------------------
 
 struct GroupColRef {
@@ -175,19 +176,28 @@ bool IsNumeric(const Column& c) {
   return c.type() == DataType::kInt64 || c.type() == DataType::kFloat64;
 }
 
-// One worker's thread-local fused partial state. Which keying structure is
-// live depends on the tier picked for the whole aggregation.
-struct FusedPartial {
-  InlineKeyTable itab;
-  KeyMap groups;
+enum class KeyTier { kDirectDict, kInline, kPacked };
+
+// One worker's thread-local partial aggregation state. Which keying
+// structure is live depends on the tier picked for the whole aggregation.
+struct AggPartial {
+  InlineKeyTable itab;                             // kInline
+  KeyMap groups;                                   // kPacked
   std::vector<std::vector<AggState>> spec_states;  // [agg][local group]
-  std::vector<size_t> first_row;
-  std::vector<uint32_t> gid;         // morsel scratch: group id per kept row
-  std::vector<uint32_t> sel;         // morsel scratch: kept absolute rows
-  std::vector<uint8_t> where_buf;    // morsel scratch: predicate bytes
-  std::vector<char> key_buf;         // morsel scratch: packed keys
-  std::vector<int64_t> lane_scratch; // morsel scratch: unrolled lanes
-  size_t kept = 0;                   // rows the WHERE kept
+  std::vector<size_t> first_row;      // min input row per local group
+  std::vector<uint32_t> gid;          // morsel scratch: group id per kept row
+  std::vector<uint32_t> sel;          // morsel scratch: kept absolute rows
+  std::vector<uint8_t> where_buf;     // morsel scratch: predicate bytes
+  std::vector<char> key_buf;          // morsel scratch: packed keys
+  std::vector<int64_t> lane_scratch;  // morsel scratch: unrolled lanes
+  size_t kept = 0;                    // rows the WHERE kept
+
+  // Grows every spec's accumulator column to `groups` default states.
+  void Extend(size_t groups) {
+    for (std::vector<AggState>& sc : spec_states) {
+      if (sc.size() < groups) sc.resize(groups);
+    }
+  }
 };
 
 }  // namespace
@@ -216,13 +226,16 @@ Result<Table> FusedAggregate(const Table& input, const ExprPtr& where,
   if (dop == 0) dop = CurrentDop();
   MorselPlan plan = MorselPlan::Auto(n, dop);
 
-  // Keying tier. Direct-dict mirrors HashAggregate's: one small-dictionary
-  // string column means the code IS the dense group id. The inline table
-  // covers up to two group columns of any type; wider keys fall back to the
-  // packed KeyMap batch path (which now carries the AVX2 candidate probe).
+  // Keying tier. Direct-dict: grouping by ONE dictionary-encoded string
+  // column whose dictionary is small means the code already IS a dense group
+  // id — no hashing, no key bytes, no probe; each worker accumulates straight
+  // into arrays of dict_size + 1 slots (the extra slot takes NULL rows). The
+  // cap bounds the per-worker footprint for dictionaries much larger than the
+  // actual group count (a shared dictionary can hold codes this column never
+  // uses). The inline table covers up to two group columns of any type;
+  // wider keys take the packed KeyMap batch path.
   constexpr size_t kDirectDictMaxSlots = 4096;
-  enum class Tier { kDirectDict, kInline, kPacked };
-  Tier tier = group_idx.size() <= 2 ? Tier::kInline : Tier::kPacked;
+  KeyTier tier = group_idx.size() <= 2 ? KeyTier::kInline : KeyTier::kPacked;
   const uint32_t* direct_codes = nullptr;
   const uint8_t* direct_validity = nullptr;
   size_t direct_slots = 0;
@@ -233,11 +246,11 @@ Result<Table> FusedAggregate(const Table& input, const ExprPtr& where,
       direct_codes = gc.codes().data();
       direct_validity = gc.validity().data();
       direct_slots = gc.dict()->size() + 1;
-      tier = Tier::kDirectDict;
+      tier = KeyTier::kDirectDict;
     }
   }
   std::vector<GroupColRef> group_refs;
-  if (tier == Tier::kInline) {
+  if (tier == KeyTier::kInline) {
     group_refs.reserve(group_idx.size());
     for (size_t gi : group_idx) {
       group_refs.push_back(MakeGroupColRef(input.column(gi)));
@@ -253,16 +266,16 @@ Result<Table> FusedAggregate(const Table& input, const ExprPtr& where,
   constexpr size_t kLaneMaxGroups = 4096;
   constexpr size_t kLaneMinRows = 512;
 
-  std::vector<FusedPartial> partials(plan.num_workers);
-  for (FusedPartial& p : partials) {
+  std::vector<AggPartial> partials(plan.num_workers);
+  for (AggPartial& p : partials) {
     p.spec_states.resize(aggs.size());
-    if (tier == Tier::kDirectDict) {
-      for (std::vector<AggState>& sc : p.spec_states) sc.resize(direct_slots);
+    if (tier == KeyTier::kDirectDict) {
+      p.Extend(direct_slots);
       p.first_row.assign(direct_slots, SIZE_MAX);
     }
   }
   RunMorsels(plan, [&](size_t worker, size_t begin, size_t end) {
-    FusedPartial& p = partials[worker];
+    AggPartial& p = partials[worker];
     const size_t span = end - begin;
     if (p.gid.size() < span) p.gid.resize(span);
 
@@ -279,27 +292,18 @@ Result<Table> FusedAggregate(const Table& input, const ExprPtr& where,
 
     // Keying stage: local group id per kept row.
     switch (tier) {
-      case Tier::kDirectDict: {
+      case KeyTier::kDirectDict: {
         const uint32_t null_slot = static_cast<uint32_t>(direct_slots - 1);
-        if (rows == nullptr) {
-          for (size_t row = begin; row < end; ++row) {
-            const uint32_t g =
-                direct_validity[row] ? direct_codes[row] : null_slot;
-            if (row < p.first_row[g]) p.first_row[g] = row;
-            p.gid[row - begin] = g;
-          }
-        } else {
-          for (size_t i = 0; i < count; ++i) {
-            const uint32_t row = rows[i];
-            const uint32_t g =
-                direct_validity[row] ? direct_codes[row] : null_slot;
-            if (row < p.first_row[g]) p.first_row[g] = row;
-            p.gid[i] = g;
-          }
+        for (size_t i = 0; i < count; ++i) {
+          const size_t row = rows != nullptr ? rows[i] : begin + i;
+          const uint32_t g =
+              direct_validity[row] ? direct_codes[row] : null_slot;
+          if (row < p.first_row[g]) p.first_row[g] = row;
+          p.gid[i] = g;
         }
         break;
       }
-      case Tier::kInline: {
+      case KeyTier::kInline: {
         const size_t ncols = group_refs.size();
         const GroupColRef* c0 = ncols > 0 ? &group_refs[0] : nullptr;
         const GroupColRef* c1 = ncols > 1 ? &group_refs[1] : nullptr;
@@ -323,34 +327,13 @@ Result<Table> FusedAggregate(const Table& input, const ExprPtr& where,
           }
           p.gid[i] = p.itab.GetOrAdd(a, b, nb, row, &p.first_row);
         }
-        for (std::vector<AggState>& sc : p.spec_states) {
-          if (sc.size() < p.itab.size()) sc.resize(p.itab.size());
-        }
+        p.Extend(p.itab.size());
         break;
       }
-      case Tier::kPacked: {
-        if (!encoder.fixed_only()) {
-          // Variable-width keys (none today, but keep the engine entry point
-          // total): per-row generic keying, same as HashAggregate's fallback.
-          std::string key;
-          key.reserve(encoder.fixed_width() + 16);
-          for (size_t i = 0; i < count; ++i) {
-            const size_t row = rows != nullptr ? rows[i] : begin + i;
-            key.clear();
-            encoder.AppendKey(row, &key);
-            auto [g, inserted] = p.groups.GetOrAdd(key);
-            if (inserted) {
-              p.first_row.push_back(row);
-            } else if (row < p.first_row[g]) {
-              p.first_row[g] = row;
-            }
-            p.gid[i] = static_cast<uint32_t>(g);
-          }
-          for (std::vector<AggState>& sc : p.spec_states) {
-            if (sc.size() < p.groups.size()) sc.resize(p.groups.size());
-          }
-          break;
-        }
+      case KeyTier::kPacked: {
+        // Every column type encodes at a fixed width, so the whole morsel is
+        // encoded column-at-a-time into a stride-constant buffer and keyed
+        // through the stride-specialized batch probe.
         const size_t stride = encoder.fixed_width();
         if (p.key_buf.size() < count * stride) {
           p.key_buf.resize(count * stride);
@@ -364,9 +347,7 @@ Result<Table> FusedAggregate(const Table& input, const ExprPtr& where,
           p.groups.GetOrAddFixedBatchRows(p.key_buf.data(), stride, count,
                                           rows, p.gid.data(), &p.first_row);
         }
-        for (std::vector<AggState>& sc : p.spec_states) {
-          if (sc.size() < p.groups.size()) sc.resize(p.groups.size());
-        }
+        p.Extend(p.groups.size());
         break;
       }
     }
@@ -390,146 +371,153 @@ Result<Table> FusedAggregate(const Table& input, const ExprPtr& where,
     }
   });
 
-  // Merge phase: per-worker partials combined once. Output order is the
-  // global first-seen order (each group's minimum input row), exactly as the
-  // materialized path emits.
+  // Merge phase: the per-worker partials are combined once, one merge per
+  // key tier, each folding the partials in worker order. Output order is the
+  // global first-seen order (each group's minimum input row) at every dop
+  // and in every tier.
+  const size_t num_specs = aggs.size();
   std::vector<std::vector<AggState>> states;
   std::vector<size_t> representative_row;
-  const size_t num_specs = aggs.size();
-  if (tier == Tier::kDirectDict) {
-    FusedPartial& p0 = partials[0];
-    for (size_t w = 1; w < partials.size(); ++w) {
-      const FusedPartial& pw = partials[w];
-      for (size_t g = 0; g < direct_slots; ++g) {
-        if (pw.first_row[g] == SIZE_MAX) continue;
-        for (size_t a = 0; a < num_specs; ++a) {
-          aggdetail::MergeState(p0.spec_states[a][g], pw.spec_states[a][g]);
+  AggPartial& p0 = partials[0];
+  std::vector<uint32_t> order;  // p0's group ids in emission order
+  switch (tier) {
+    case KeyTier::kDirectDict:
+      // Elementwise into partial 0. Code order is NOT first-seen order in
+      // general (a derived table can hold a shared dictionary's codes in any
+      // row order), so the slots that saw rows are always sorted.
+      for (size_t w = 1; w < partials.size(); ++w) {
+        const AggPartial& pw = partials[w];
+        for (size_t g = 0; g < direct_slots; ++g) {
+          if (pw.first_row[g] == SIZE_MAX) continue;
+          for (size_t a = 0; a < num_specs; ++a) {
+            aggdetail::MergeState(p0.spec_states[a][g], pw.spec_states[a][g]);
+          }
+          p0.first_row[g] = std::min(p0.first_row[g], pw.first_row[g]);
         }
-        p0.first_row[g] = std::min(p0.first_row[g], pw.first_row[g]);
       }
-    }
-    std::vector<uint32_t> order;
-    order.reserve(direct_slots);
-    for (size_t g = 0; g < direct_slots; ++g) {
-      if (p0.first_row[g] != SIZE_MAX) order.push_back(static_cast<uint32_t>(g));
-    }
+      for (size_t g = 0; g < direct_slots; ++g) {
+        if (p0.first_row[g] != SIZE_MAX) {
+          order.push_back(static_cast<uint32_t>(g));
+        }
+      }
+      break;
+    case KeyTier::kInline:
+      // Serially into partial 0's inline table.
+      for (size_t w = 1; w < partials.size(); ++w) {
+        const AggPartial& pw = partials[w];
+        for (size_t id = 0; id < pw.itab.size(); ++id) {
+          const uint32_t g = p0.itab.GetOrAdd(pw.itab.k0[id], pw.itab.k1[id],
+                                              pw.itab.kn[id], pw.first_row[id],
+                                              &p0.first_row);
+          p0.Extend(p0.itab.size());
+          for (size_t a = 0; a < num_specs; ++a) {
+            aggdetail::MergeState(p0.spec_states[a][g], pw.spec_states[a][id]);
+          }
+        }
+      }
+      order.resize(p0.itab.size());
+      std::iota(order.begin(), order.end(), 0u);
+      break;
+    case KeyTier::kPacked:
+      if (partials.size() == 1) {
+        order.resize(p0.groups.size());
+        std::iota(order.begin(), order.end(), 0u);
+        break;
+      }
+      {
+        // The key space splits into hash partitions merged in parallel.
+        struct MergedGroup {
+          std::vector<AggState> states;
+          size_t first_row;
+        };
+        const size_t num_parts = partials.size();
+        std::vector<std::vector<MergedGroup>> part_groups(num_parts);
+        RunPartitions(num_parts, num_parts, [&](size_t part) {
+          KeyMap seen;
+          std::vector<MergedGroup>& out = part_groups[part];
+          for (const AggPartial& p : partials) {
+            p.groups.ForEach([&](std::string_view key, size_t id) {
+              if (KeyMap::Hash(key) % num_parts != part) return;
+              auto [g, inserted] = seen.GetOrAdd(key);
+              if (inserted) {
+                out.push_back({aggdetail::GatherStates(p.spec_states, id),
+                               p.first_row[id]});
+                return;
+              }
+              for (size_t a = 0; a < num_specs; ++a) {
+                aggdetail::MergeState(out[g].states[a],
+                                      p.spec_states[a][id]);
+              }
+              out[g].first_row = std::min(out[g].first_row, p.first_row[id]);
+            });
+          }
+        });
+        std::vector<MergedGroup> merged;
+        for (std::vector<MergedGroup>& pg : part_groups) {
+          for (MergedGroup& mg : pg) merged.push_back(std::move(mg));
+        }
+        std::sort(merged.begin(), merged.end(),
+                  [](const MergedGroup& a, const MergedGroup& b) {
+                    return a.first_row < b.first_row;
+                  });
+        states.reserve(merged.size());
+        representative_row.reserve(merged.size());
+        for (MergedGroup& mg : merged) {
+          states.push_back(std::move(mg.states));
+          representative_row.push_back(mg.first_row);
+        }
+      }
+      break;
+  }
+  // A single worker keys its groups in first-seen order already.
+  if (tier == KeyTier::kDirectDict || partials.size() > 1) {
     std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
       return p0.first_row[a] < p0.first_row[b];
     });
-    states.reserve(order.size());
-    representative_row.reserve(order.size());
-    for (uint32_t g : order) {
-      states.push_back(aggdetail::GatherStates(p0.spec_states, g));
-      representative_row.push_back(p0.first_row[g]);
-    }
-  } else if (tier == Tier::kInline) {
-    FusedPartial& p0 = partials[0];
-    for (size_t w = 1; w < partials.size(); ++w) {
-      FusedPartial& pw = partials[w];
-      for (size_t id = 0; id < pw.itab.size(); ++id) {
-        const uint32_t g = p0.itab.GetOrAdd(pw.itab.k0[id], pw.itab.k1[id],
-                                            pw.itab.kn[id], pw.first_row[id],
-                                            &p0.first_row);
-        for (std::vector<AggState>& sc : p0.spec_states) {
-          if (sc.size() < p0.itab.size()) sc.resize(p0.itab.size());
-        }
-        for (size_t a = 0; a < num_specs; ++a) {
-          aggdetail::MergeState(p0.spec_states[a][g], pw.spec_states[a][id]);
-        }
-      }
-    }
-    const size_t groups = p0.itab.size();
-    std::vector<uint32_t> order(groups);
-    for (size_t g = 0; g < groups; ++g) order[g] = static_cast<uint32_t>(g);
-    if (partials.size() > 1) {
-      std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        return p0.first_row[a] < p0.first_row[b];
-      });
-    }
-    states.reserve(groups);
-    representative_row.reserve(groups);
-    for (uint32_t g : order) {
-      states.push_back(aggdetail::GatherStates(p0.spec_states, g));
-      representative_row.push_back(p0.first_row[g]);
-    }
-  } else {
-    struct MergedGroup {
-      std::vector<AggState> states;
-      size_t first_row;
-    };
-    KeyMap seen;
-    std::vector<MergedGroup> merged;
-    if (plan.num_workers <= 1) {
-      FusedPartial& p = partials[0];
-      states.reserve(p.groups.size());
-      for (size_t g = 0; g < p.groups.size(); ++g) {
-        states.push_back(aggdetail::GatherStates(p.spec_states, g));
-      }
-      representative_row = std::move(p.first_row);
-    } else {
-      for (const FusedPartial& p : partials) {
-        p.groups.ForEach([&](std::string_view key, size_t id) {
-          auto [g, inserted] = seen.GetOrAdd(key);
-          if (inserted) {
-            merged.push_back(
-                {aggdetail::GatherStates(p.spec_states, id), p.first_row[id]});
-          } else {
-            for (size_t a = 0; a < num_specs; ++a) {
-              aggdetail::MergeState(merged[g].states[a], p.spec_states[a][id]);
-            }
-            merged[g].first_row = std::min(merged[g].first_row, p.first_row[id]);
-          }
-        });
-      }
-      std::sort(merged.begin(), merged.end(),
-                [](const MergedGroup& a, const MergedGroup& b) {
-                  return a.first_row < b.first_row;
-                });
-      states.reserve(merged.size());
-      representative_row.reserve(merged.size());
-      for (MergedGroup& mg : merged) {
-        states.push_back(std::move(mg.states));
-        representative_row.push_back(mg.first_row);
-      }
-    }
+  }
+  states.reserve(order.size());
+  representative_row.reserve(order.size());
+  for (uint32_t g : order) {
+    states.push_back(aggdetail::GatherStates(p0.spec_states, g));
+    representative_row.push_back(p0.first_row[g]);
   }
 
   if (op.active()) {
-    std::string detail = "fused ";
+    // Hash-table shape: the peak across the workers' thread-local partials
+    // (the merge touches every partial, so that count doubles as spill
+    // volume). Direct-dict has no hash table at all: the dictionary code
+    // indexed the accumulator arrays, whose size is reported as the slots.
+    size_t peak_groups = 0, peak_slots = 0;
+    std::string detail = "keys=";
     switch (tier) {
-      case Tier::kDirectDict: {
-        op.SetHashTable(states.size(), direct_slots);
-        detail += "keys=direct-dict(" + std::to_string(direct_slots - 1) + ")";
+      case KeyTier::kDirectDict:
+        peak_groups = states.size();
+        peak_slots = direct_slots;
+        detail += "direct-dict(" + std::to_string(direct_slots - 1) + ")";
         break;
-      }
-      case Tier::kInline: {
-        size_t peak_groups = 0, peak_slots = 0;
-        for (const FusedPartial& p : partials) {
+      case KeyTier::kInline:
+        for (const AggPartial& p : partials) {
           if (p.itab.size() > peak_groups) {
             peak_groups = p.itab.size();
             peak_slots = p.itab.slots();
           }
         }
-        op.SetHashTable(peak_groups, peak_slots);
-        detail += "keys=inline(" + std::to_string(group_idx.size()) + "x8B)";
+        detail += "inline(" + std::to_string(group_idx.size()) + "x8B)";
         break;
-      }
-      case Tier::kPacked: {
-        size_t peak_groups = 0, peak_slots = 0;
-        for (const FusedPartial& p : partials) {
+      case KeyTier::kPacked:
+        for (const AggPartial& p : partials) {
           if (p.groups.size() > peak_groups) {
             peak_groups = p.groups.size();
             peak_slots = p.groups.slots();
           }
         }
-        op.SetHashTable(peak_groups, peak_slots);
-        detail += "keys=packed(" + std::to_string(encoder.fixed_width()) + "B)";
+        detail += "packed(" + std::to_string(encoder.fixed_width()) + "B)";
         break;
-      }
     }
+    op.SetHashTable(peak_groups, peak_slots);
     if (filter_node != nullptr) {
       size_t kept = 0;
-      for (const FusedPartial& p : partials) kept += p.kept;
+      for (const AggPartial& p : partials) kept += p.kept;
       filter_node->detail = pred->evaluator() + ", per morsel";
       filter_node->stats.rows_in = n;
       filter_node->stats.rows_out = kept;

@@ -9,22 +9,35 @@
 
 namespace pctagg {
 
-// Push-based fused operators for the percentage pipelines. Where the
-// materialized plans run Filter -> HashAggregate as separate statements with
-// an intermediate table, FusedAggregate pushes each morsel through WHERE
-// selection (PredicateMask, engine/expression.h, evaluated inside the
-// morsel's worker), keying and accumulation in one pass, so filtered rows
-// are never copied and the group key is built straight from the column
-// arrays.
+// The engine's one GROUP BY kernel. Every aggregation — the core's
+// finest-level scans and rollups, the materialized plans' Fk/Fj/FV
+// statements, the CASE horizontal forms and delta maintenance — runs here.
+// Each morsel is pushed through WHERE selection (PredicateMask,
+// engine/expression.h, evaluated inside the morsel's worker; `where` may be
+// nullptr), keying and accumulation in one pass, so filtered rows are never
+// copied and the group key is built straight from the column arrays.
 //
-// Results are bit-identical to Filter(input, where) followed by
-// HashAggregate(group_by, aggs) at the same dop: the accumulation and
-// emission code is shared (engine/agg_internal.h), rows are folded in the
-// same per-worker order, and each morsel's selection keeps input row order.
+// `group_by` may be empty: one global group; with zero input rows the global
+// group still yields one row of NULL/0 aggregates, matching SQL. NULL
+// semantics follow sum()/count(): NULL inputs are skipped, an all-NULL group
+// aggregates to NULL (count: 0). Output schema: the group-by columns (input
+// types preserved) followed by one column per AggSpec. Groups are emitted in
+// first-seen input order at every dop.
 //
-// Morsels come from MorselPlan::Auto: workers are clamped to the CPUs this
-// process can actually use and morsels sized to ~4 per worker, which is the
-// fix for the committed dop=4-slower-than-dop=1 parallel-scaling row.
+// Keys take one of three tiers, shown in EXPLAIN ANALYZE as
+// `keys=direct-dict(N)` (one string column with a small dictionary: the
+// code is the group id), `keys=inline(Kx8B)` (up to two columns held as
+// register words) or `keys=packed(NB)` (three or more columns, packed into
+// a KeyMap), plus `+where` when a WHERE was applied. Each worker folds its
+// morsels into a thread-local partial; the partials are merged once, the
+// packed tier across hash partitions in parallel, every tier folding the
+// partials in worker order. Integer aggregates (INT64 sums, counts, INT64
+// min/max) are bit-identical across dop; float sums may differ by
+// reassociation (docs/PARALLELISM.md).
+//
+// `dop` 0 means "inherit CurrentDop()". Morsels come from MorselPlan::Auto:
+// workers are clamped to the CPUs this process can actually use and morsels
+// sized to ~4 per worker.
 Result<Table> FusedAggregate(const Table& input, const ExprPtr& where,
                              const std::vector<std::string>& group_by,
                              const std::vector<AggSpec>& aggs, size_t dop = 0);

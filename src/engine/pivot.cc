@@ -21,6 +21,8 @@ struct CellState {
   int64_t rows = 0;
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
+  int64_t imin = std::numeric_limits<int64_t>::max();  // INT64 measures
+  int64_t imax = std::numeric_limits<int64_t>::min();
   bool saw_value = false;
 };
 
@@ -31,6 +33,8 @@ void MergeCell(CellState& d, const CellState& s) {
   d.rows += s.rows;
   if (s.min < d.min) d.min = s.min;
   if (s.max > d.max) d.max = s.max;
+  if (s.imin < d.imin) d.imin = s.imin;
+  if (s.imax > d.imax) d.imax = s.imax;
   d.saw_value = d.saw_value || s.saw_value;
 }
 
@@ -154,8 +158,12 @@ Result<Table> HashDispatchPivot(const Table& input,
       st.sum += v;
       tot.sum += v;
       if (val_type == DataType::kInt64) {
-        st.isum += vals.Int64At(row);
-        tot.isum += vals.Int64At(row);
+        // min/max stay int64: doubles merge neighbours beyond 2^53.
+        const int64_t iv = vals.Int64At(row);
+        st.isum += iv;
+        tot.isum += iv;
+        if (iv < st.imin) st.imin = iv;
+        if (iv > st.imax) st.imax = iv;
       }
       if (v < st.min) st.min = v;
       if (v > st.max) st.max = v;
@@ -299,12 +307,12 @@ Result<Table> HashDispatchPivot(const Table& input,
 
   // Emit cell columns in sorted combination order so results render (and
   // compare) deterministically regardless of row arrival order.
-  std::vector<std::string> combo_cols;
+  std::vector<SortKey> combo_keys;
   for (size_t c = 0; c < combos.num_columns(); ++c) {
-    combo_cols.push_back(combos.schema().column(c).name);
+    combo_keys.push_back({combos.schema().column(c).name});
   }
   PCTAGG_ASSIGN_OR_RETURN(std::vector<size_t> combo_order,
-                          SortPermutation(combos, combo_cols));
+                          SortPermutation(combos, combo_keys));
 
   Schema out_schema;
   for (size_t gi : group_idx) out_schema.AddColumn(input.schema().column(gi));
@@ -330,14 +338,12 @@ Result<Table> HashDispatchPivot(const Table& input,
                    : Value::Null();
       case AggFunc::kMin:
         if (!st.saw_value) return Value::Null();
-        return cell_type == DataType::kInt64
-                   ? Value::Int64(static_cast<int64_t>(st.min))
-                   : Value::Float64(st.min);
+        return cell_type == DataType::kInt64 ? Value::Int64(st.imin)
+                                             : Value::Float64(st.min);
       case AggFunc::kMax:
         if (!st.saw_value) return Value::Null();
-        return cell_type == DataType::kInt64
-                   ? Value::Int64(static_cast<int64_t>(st.max))
-                   : Value::Float64(st.max);
+        return cell_type == DataType::kInt64 ? Value::Int64(st.imax)
+                                             : Value::Float64(st.max);
     }
     return Value::Null();
   };

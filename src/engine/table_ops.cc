@@ -77,83 +77,62 @@ Result<Table> Distinct(const Table& input,
   return out;
 }
 
-Result<std::vector<size_t>> SortPermutation(
-    const Table& input, const std::vector<std::string>& columns) {
-  std::vector<size_t> col_idx;
-  for (const std::string& name : columns) {
-    PCTAGG_ASSIGN_OR_RETURN(size_t idx, input.schema().FindColumn(name));
-    col_idx.push_back(idx);
+std::vector<SortKey> AscendingKeys(const std::vector<std::string>& columns) {
+  std::vector<SortKey> keys;
+  keys.reserve(columns.size());
+  for (const std::string& c : columns) keys.push_back({c, false});
+  return keys;
+}
+
+Result<std::vector<size_t>> SortPermutation(const Table& input,
+                                            const std::vector<SortKey>& keys) {
+  std::vector<const Column*> cols;
+  for (const SortKey& k : keys) {
+    PCTAGG_ASSIGN_OR_RETURN(size_t idx, input.schema().FindColumn(k.column));
+    cols.push_back(&input.column(idx));
   }
-  std::vector<size_t> order(input.num_rows());
-  std::iota(order.begin(), order.end(), 0);
+  // Each type compares in its own domain: INT64 as int64 (a double cannot
+  // tell 2^53 from 2^53 + 1), FLOAT64 as double, strings by value.
+  auto compare = [](const Column& c, size_t a, size_t b) {
+    switch (c.type()) {
+      case DataType::kInt64: {
+        const int64_t x = c.int64_data()[a], y = c.int64_data()[b];
+        return x < y ? -1 : (x > y ? 1 : 0);
+      }
+      case DataType::kFloat64: {
+        const double x = c.float64_data()[a], y = c.float64_data()[b];
+        return x < y ? -1 : (x > y ? 1 : 0);
+      }
+      case DataType::kString:
+        return c.StringAt(a).compare(c.StringAt(b));
+    }
+    return 0;
+  };
   auto less_at = [&](size_t a, size_t b) {
-    for (size_t ci : col_idx) {
-      const Column& c = input.column(ci);
-      bool an = c.IsNull(a);
-      bool bn = c.IsNull(b);
+    for (size_t k = 0; k < cols.size(); ++k) {
+      const Column& c = *cols[k];
+      const bool desc = keys[k].descending;
+      const bool an = c.IsNull(a);
+      const bool bn = c.IsNull(b);
       if (an || bn) {
         if (an && bn) continue;
-        return an;  // NULLs first
+        // NULLs first ascending, last descending.
+        return desc ? bn : an;
       }
-      int cmp = 0;
-      if (c.type() == DataType::kString) {
-        cmp = c.StringAt(a).compare(c.StringAt(b));
-      } else {
-        double x = c.NumericAt(a);
-        double y = c.NumericAt(b);
-        cmp = x < y ? -1 : (x > y ? 1 : 0);
-      }
-      if (cmp != 0) return cmp < 0;
+      const int cmp = compare(c, a, b);
+      if (cmp != 0) return desc ? cmp > 0 : cmp < 0;
     }
     return false;
   };
+  std::vector<size_t> order(input.num_rows());
+  std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), less_at);
   return order;
 }
 
-Result<Table> Sort(const Table& input,
-                   const std::vector<std::string>& columns) {
-  PCTAGG_ASSIGN_OR_RETURN(std::vector<size_t> order,
-                          SortPermutation(input, columns));
-  Table out(input.schema());
-  out.Reserve(input.num_rows());
-  for (size_t row : order) out.AppendRowFrom(input, row);
-  return out;
-}
-
 Result<Table> SortBy(const Table& input, const std::vector<SortKey>& keys) {
-  std::vector<size_t> col_idx;
-  std::vector<bool> desc;
-  for (const SortKey& k : keys) {
-    PCTAGG_ASSIGN_OR_RETURN(size_t idx, input.schema().FindColumn(k.column));
-    col_idx.push_back(idx);
-    desc.push_back(k.descending);
-  }
-  std::vector<size_t> order(input.num_rows());
-  std::iota(order.begin(), order.end(), 0);
-  auto less_at = [&](size_t a, size_t b) {
-    for (size_t k = 0; k < col_idx.size(); ++k) {
-      const Column& c = input.column(col_idx[k]);
-      bool an = c.IsNull(a);
-      bool bn = c.IsNull(b);
-      if (an || bn) {
-        if (an && bn) continue;
-        // NULLs first ascending, last descending.
-        return desc[k] ? bn : an;
-      }
-      int cmp = 0;
-      if (c.type() == DataType::kString) {
-        cmp = c.StringAt(a).compare(c.StringAt(b));
-      } else {
-        double x = c.NumericAt(a);
-        double y = c.NumericAt(b);
-        cmp = x < y ? -1 : (x > y ? 1 : 0);
-      }
-      if (cmp != 0) return desc[k] ? cmp > 0 : cmp < 0;
-    }
-    return false;
-  };
-  std::stable_sort(order.begin(), order.end(), less_at);
+  PCTAGG_ASSIGN_OR_RETURN(std::vector<size_t> order,
+                          SortPermutation(input, keys));
   Table out(input.schema());
   out.Reserve(input.num_rows());
   for (size_t row : order) out.AppendRowFrom(input, row);

@@ -33,21 +33,21 @@ struct SortKey {
   bool descending = false;
 };
 
-// ORDER BY <columns> ascending, NULLs first; stable.
-Result<Table> Sort(const Table& input, const std::vector<std::string>& columns);
+// Ascending keys over `columns`, in order.
+std::vector<SortKey> AscendingKeys(const std::vector<std::string>& columns);
 
 // ORDER BY with per-key direction (NULLs first under ASC, last under DESC);
-// stable.
+// stable. INT64 keys compare exactly, as int64.
 Result<Table> SortBy(const Table& input, const std::vector<SortKey>& keys);
 
 // LIMIT: the first `limit` rows of `input`.
 Table Limit(const Table& input, size_t limit);
 
-// The row permutation Sort() would apply: output[i] is the input row index
+// The row permutation SortBy() would apply: output[i] is the input row index
 // of the i-th row in sorted order. Used by the pivot to emit result columns
 // in a deterministic order without moving data.
-Result<std::vector<size_t>> SortPermutation(
-    const Table& input, const std::vector<std::string>& columns);
+Result<std::vector<size_t>> SortPermutation(const Table& input,
+                                            const std::vector<SortKey>& keys);
 
 // Appends all rows of `src` to `dst` (schemas must be compatible by position:
 // same arity and types). Implements INSERT INTO dst SELECT * FROM src.

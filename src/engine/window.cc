@@ -17,6 +17,8 @@ struct PartState {
   int64_t rows = 0;
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
+  int64_t imin = std::numeric_limits<int64_t>::max();  // INT64 inputs
+  int64_t imax = std::numeric_limits<int64_t>::min();
   bool saw_value = false;
 };
 
@@ -27,6 +29,8 @@ void MergePart(PartState& d, const PartState& s) {
   d.rows += s.rows;
   if (s.min < d.min) d.min = s.min;
   if (s.max > d.max) d.max = s.max;
+  if (s.imin < d.imin) d.imin = s.imin;
+  if (s.imax > d.imax) d.imax = s.imax;
   d.saw_value = d.saw_value || s.saw_value;
 }
 
@@ -100,7 +104,13 @@ Result<Column> WindowAggregate(const Table& input,
       if (in.type() != DataType::kString) {
         double v = in.NumericAt(row);
         st.sum += v;
-        if (in.type() == DataType::kInt64) st.isum += in.Int64At(row);
+        if (in.type() == DataType::kInt64) {
+          // min/max stay int64: doubles merge neighbours beyond 2^53.
+          const int64_t iv = in.Int64At(row);
+          st.isum += iv;
+          if (iv < st.imin) st.imin = iv;
+          if (iv > st.imax) st.imax = iv;
+        }
         if (v < st.min) st.min = v;
         if (v > st.max) st.max = v;
       }
@@ -150,7 +160,7 @@ Result<Column> WindowAggregate(const Table& input,
     }
   }
 
-  // Output type mirrors HashAggregate.
+  // Output type mirrors the GROUP BY kernel (FusedAggregate).
   DataType out_type = DataType::kFloat64;
   if (func == AggFunc::kCount || func == AggFunc::kCountStar) {
     out_type = DataType::kInt64;
@@ -193,7 +203,7 @@ Result<Column> WindowAggregate(const Table& input,
         if (!st.saw_value) {
           out.AppendNull();
         } else if (out_type == DataType::kInt64) {
-          out.AppendInt64(static_cast<int64_t>(st.min));
+          out.AppendInt64(st.imin);
         } else {
           out.AppendFloat64(st.min);
         }
@@ -202,7 +212,7 @@ Result<Column> WindowAggregate(const Table& input,
         if (!st.saw_value) {
           out.AppendNull();
         } else if (out_type == DataType::kInt64) {
-          out.AppendInt64(static_cast<int64_t>(st.max));
+          out.AppendInt64(st.imax);
         } else {
           out.AppendFloat64(st.max);
         }

@@ -1,10 +1,13 @@
-// Unit tests for the hash GROUP BY operator: every aggregate function,
-// NULL-skipping semantics, empty inputs, global groups and expression inputs.
+// Unit tests for the GROUP BY kernel (FusedAggregate without a WHERE): every
+// aggregate function, NULL-skipping semantics, empty inputs, global groups
+// and expression inputs.
 
-#include "engine/aggregate.h"
+#include "engine/pipeline.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <map>
 
 #include "engine/table.h"
@@ -40,14 +43,13 @@ std::map<int64_t, std::vector<Value>> RowsByKey(const Table& t) {
 
 TEST(AggregateTest, SumCountAvgMinMaxPerGroup) {
   Table t = TestTable();
-  Result<Table> r = HashAggregate(
-      t, {"d"},
-      {{AggFunc::kSum, Col("a"), "s"},
-       {AggFunc::kCount, Col("a"), "c"},
-       {AggFunc::kCountStar, nullptr, "n"},
-       {AggFunc::kAvg, Col("a"), "avg"},
-       {AggFunc::kMin, Col("a"), "lo"},
-       {AggFunc::kMax, Col("a"), "hi"}});
+  Result<Table> r = FusedAggregate(t, nullptr, {"d"},
+                                   {{AggFunc::kSum, Col("a"), "s"},
+                                    {AggFunc::kCount, Col("a"), "c"},
+                                    {AggFunc::kCountStar, nullptr, "n"},
+                                    {AggFunc::kAvg, Col("a"), "avg"},
+                                    {AggFunc::kMin, Col("a"), "lo"},
+                                    {AggFunc::kMax, Col("a"), "hi"}});
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const Table& out = r.value();
   EXPECT_EQ(out.num_rows(), 3u);  // groups: 1, 2, NULL
@@ -73,8 +75,8 @@ TEST(AggregateTest, AllNullGroupSumsToNull) {
   Table t(Schema({{"d", DataType::kInt64}, {"a", DataType::kFloat64}}));
   t.AppendRow({Value::Int64(1), Value::Null()});
   t.AppendRow({Value::Int64(1), Value::Null()});
-  Table out = HashAggregate(t, {"d"},
-                            {{AggFunc::kSum, Col("a"), "s"},
+  Table out = FusedAggregate(t, nullptr, {"d"},
+                             {{AggFunc::kSum, Col("a"), "s"},
                              {AggFunc::kAvg, Col("a"), "avg"},
                              {AggFunc::kMin, Col("a"), "lo"},
                              {AggFunc::kCount, Col("a"), "c"}})
@@ -91,15 +93,16 @@ TEST(AggregateTest, IntSumStaysInt) {
   t.AppendRow({Value::Int64(1), Value::Int64(3)});
   t.AppendRow({Value::Int64(1), Value::Int64(4)});
   Table out =
-      HashAggregate(t, {"d"}, {{AggFunc::kSum, Col("q"), "s"}}).value();
+      FusedAggregate(t, nullptr, {"d"}, {{AggFunc::kSum, Col("q"), "s"}})
+          .value();
   EXPECT_EQ(out.schema().column(1).type, DataType::kInt64);
   EXPECT_EQ(out.column(1).Int64At(0), 7);
 }
 
 TEST(AggregateTest, GlobalGroupOnEmptyInput) {
   Table t(Schema({{"a", DataType::kFloat64}}));
-  Table out = HashAggregate(t, {},
-                            {{AggFunc::kSum, Col("a"), "s"},
+  Table out = FusedAggregate(t, nullptr, {},
+                             {{AggFunc::kSum, Col("a"), "s"},
                              {AggFunc::kCountStar, nullptr, "n"}})
                   .value();
   ASSERT_EQ(out.num_rows(), 1u);  // SQL: global aggregate of empty set
@@ -110,7 +113,8 @@ TEST(AggregateTest, GlobalGroupOnEmptyInput) {
 TEST(AggregateTest, GroupedAggregateOnEmptyInputIsEmpty) {
   Table t(Schema({{"d", DataType::kInt64}, {"a", DataType::kFloat64}}));
   Table out =
-      HashAggregate(t, {"d"}, {{AggFunc::kSum, Col("a"), "s"}}).value();
+      FusedAggregate(t, nullptr, {"d"}, {{AggFunc::kSum, Col("a"), "s"}})
+          .value();
   EXPECT_EQ(out.num_rows(), 0u);
 }
 
@@ -119,7 +123,8 @@ TEST(AggregateTest, ExpressionInput) {
   // sum(CASE WHEN d = 1 THEN a ELSE 0 END) over all rows.
   ExprPtr cse = CaseWhen({{Eq(Col("d"), Lit(Value::Int64(1))), Col("a")}},
                          Lit(Value::Int64(0)));
-  Table out = HashAggregate(t, {}, {{AggFunc::kSum, cse, "s"}}).value();
+  Table out =
+      FusedAggregate(t, nullptr, {}, {{AggFunc::kSum, cse, "s"}}).value();
   EXPECT_DOUBLE_EQ(out.column(0).Float64At(0), 10.0);
 }
 
@@ -128,8 +133,8 @@ TEST(AggregateTest, StringMinMax) {
   t.AppendRow({Value::Int64(1), Value::String("pear")});
   t.AppendRow({Value::Int64(1), Value::String("apple")});
   t.AppendRow({Value::Int64(1), Value::Null()});
-  Table out = HashAggregate(t, {"d"},
-                            {{AggFunc::kMin, Col("s"), "lo"},
+  Table out = FusedAggregate(t, nullptr, {"d"},
+                             {{AggFunc::kMin, Col("s"), "lo"},
                              {AggFunc::kMax, Col("s"), "hi"}})
                   .value();
   EXPECT_EQ(out.column(1).StringAt(0), "apple");
@@ -138,7 +143,7 @@ TEST(AggregateTest, StringMinMax) {
 
 TEST(AggregateTest, SumOverStringRejected) {
   Table t(Schema({{"s", DataType::kString}}));
-  EXPECT_EQ(HashAggregate(t, {}, {{AggFunc::kSum, Col("s"), "x"}})
+  EXPECT_EQ(FusedAggregate(t, nullptr, {}, {{AggFunc::kSum, Col("s"), "x"}})
                 .status()
                 .code(),
             StatusCode::kTypeMismatch);
@@ -146,12 +151,14 @@ TEST(AggregateTest, SumOverStringRejected) {
 
 TEST(AggregateTest, MissingInputExpressionRejected) {
   Table t = TestTable();
-  EXPECT_FALSE(HashAggregate(t, {}, {{AggFunc::kSum, nullptr, "x"}}).ok());
+  EXPECT_FALSE(
+      FusedAggregate(t, nullptr, {}, {{AggFunc::kSum, nullptr, "x"}}).ok());
 }
 
 TEST(AggregateTest, UnknownGroupColumnRejected) {
   Table t = TestTable();
-  EXPECT_EQ(HashAggregate(t, {"zzz"}, {{AggFunc::kCountStar, nullptr, "n"}})
+  EXPECT_EQ(FusedAggregate(t, nullptr, {"zzz"},
+                           {{AggFunc::kCountStar, nullptr, "n"}})
                 .status()
                 .code(),
             StatusCode::kNotFound);
@@ -164,16 +171,50 @@ TEST(AggregateTest, MultipleGroupColumns) {
   t.AppendRow({Value::Int64(1), Value::Int64(1), Value::Float64(1)});
   t.AppendRow({Value::Int64(1), Value::Int64(2), Value::Float64(2)});
   t.AppendRow({Value::Int64(1), Value::Int64(1), Value::Float64(3)});
-  Table out =
-      HashAggregate(t, {"x", "y"}, {{AggFunc::kSum, Col("a"), "s"}}).value();
+  Table out = FusedAggregate(t, nullptr, {"x", "y"},
+                             {{AggFunc::kSum, Col("a"), "s"}})
+                  .value();
   EXPECT_EQ(out.num_rows(), 2u);
 }
 
 TEST(AggregateTest, AvgIsSumOverCount) {
   Table t = TestTable();
   Table out =
-      HashAggregate(t, {}, {{AggFunc::kAvg, Col("a"), "m"}}).value();
+      FusedAggregate(t, nullptr, {}, {{AggFunc::kAvg, Col("a"), "m"}}).value();
   EXPECT_DOUBLE_EQ(out.column(0).Float64At(0), 25.0 / 4.0);
+}
+
+// min()/max() over INT64 stay int64: 2^53 + 1 has no double of its own, and
+// INT64_MAX rounds to 2^63, which does not convert back.
+TEST(AggregateTest, Int64MinMaxExactBeyondTwoTo53) {
+  const int64_t two53 = int64_t{1} << 53;
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  Table t(Schema({{"d", DataType::kInt64}, {"a", DataType::kInt64}}));
+  t.AppendRow({Value::Int64(1), Value::Int64(two53 + 1)});
+  t.AppendRow({Value::Int64(1), Value::Int64(two53)});
+  t.AppendRow({Value::Int64(1), Value::Int64(two53 + 3)});
+  t.AppendRow({Value::Int64(2), Value::Int64(kMax)});
+  t.AppendRow({Value::Int64(2), Value::Int64(kMax - 1)});
+  t.AppendRow({Value::Int64(2), Value::Int64(kMin)});
+  t.AppendRow({Value::Int64(2), Value::Int64(kMin + 1)});
+  for (size_t dop : {size_t{1}, size_t{4}}) {
+    Table out = FusedAggregate(t, nullptr, {"d"},
+                               {{AggFunc::kMin, Col("a"), "lo"},
+                                {AggFunc::kMax, Col("a"), "hi"}},
+                               dop)
+                    .value();
+    ASSERT_EQ(out.num_rows(), 2u);
+    EXPECT_EQ(out.column(1).Int64At(0), two53);
+    EXPECT_EQ(out.column(2).Int64At(0), two53 + 3);
+    EXPECT_EQ(out.column(1).Int64At(1), kMin);
+    EXPECT_EQ(out.column(2).Int64At(1), kMax);
+  }
+  // The global group, and a WHERE that keeps only the two neighbours.
+  Table g = FusedAggregate(t, Lt(Col("a"), Lit(Value::Int64(two53 + 2))), {},
+                           {{AggFunc::kMax, Col("a"), "hi"}})
+                .value();
+  EXPECT_EQ(g.column(0).Int64At(0), two53 + 1);
 }
 
 }  // namespace

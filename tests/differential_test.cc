@@ -4,7 +4,8 @@
 //
 // Generated shapes: group-by subsets (including none), multi-term Vpct with
 // BY subsets and grand totals, Hpct/Hagg (with DEFAULT 0) plus extra vertical
-// aggregates, plain vertical aggregates, seeded WHERE clauses (INT64 and
+// aggregates, plain vertical aggregates, expression arguments (sum(a * 2),
+// Vpct(1)), HAVING/ORDER BY/LIMIT tails, seeded WHERE clauses (INT64 and
 // FLOAT64 ranges, dictionary-string comparisons with absent literals, IS
 // [NOT] NULL, INT64 beyond 2^53, literals on either side, AND/OR/NOT nesting)
 // that keep everything, some rows or nothing, NULL group keys, a
@@ -19,7 +20,8 @@
 // delta-merged AppendRows.
 //
 // Results compare as row multisets (sharded merges and some strategies emit
-// rows in another order; Hpct pivot columns are matched by name). INT64
+// rows in another order; Hpct pivot columns are matched by name), or row by
+// row when an ORDER BY over every grouping column fixes the order. INT64
 // measures must be bit-identical everywhere. A FLOAT64 measure x >= 0 may
 // differ only by summation order: two orders of a sum of m non-negative
 // doubles differ by at most 2(m-1) ulp, a quotient of two such sums by at
@@ -114,6 +116,9 @@ struct Case {
   std::string sets_sql;  // the same query as a one-set GROUPING SETS
   std::string where;     // rendered WHERE clause, "" when none
   bool float_measure = false;
+  // ORDER BY covers every grouping column, so the row order is determined
+  // and every path must return it.
+  bool ordered = false;
 };
 
 std::vector<std::string> PickDims(Rng* rng,
@@ -225,14 +230,61 @@ std::string RandomWhere(Rng* rng, int depth) {
   }
 }
 
+// A query tail over the result: HAVING on a grouping column, ORDER BY every
+// grouping column in mixed directions, and LIMIT only under that total
+// order (otherwise the kept rows would depend on each path's row order).
+std::string RandomTail(Rng* rng, const std::vector<std::string>& group_by,
+                       bool* ordered) {
+  std::string tail;
+  if (group_by.empty()) return tail;
+  if (rng->Uniform(3) == 0) {
+    const std::string col = group_by[rng->Uniform(group_by.size())];
+    if (rng->Uniform(4) == 0) {
+      tail += " HAVING " + col + " IS NOT NULL";
+    } else if (col == "s") {
+      tail += std::string(" HAVING s ") + (rng->Uniform(2) ? "<>" : ">=") +
+              " 'c2'";
+    } else {
+      tail += " HAVING " + col + " " + RandomCmpOp(rng) + " " +
+              std::to_string(rng->Uniform(4));
+    }
+  }
+  if (rng->Uniform(2) == 0) {
+    std::vector<std::string> keys;
+    for (const std::string& g : PickDims(rng, group_by, group_by.size(),
+                                         group_by.size())) {
+      keys.push_back(g + (rng->Uniform(2) ? " DESC" : ""));
+    }
+    tail += " ORDER BY " + Join(keys, ", ");
+    *ordered = true;
+    if (rng->Uniform(2) == 0) {
+      static const int kLimits[] = {0, 1, 3, 50};
+      tail += " LIMIT " + std::to_string(kLimits[rng->Uniform(4)]);
+    }
+  }
+  return tail;
+}
+
 Case Generate(uint64_t seed) {
   Rng rng(seed);
+  // Expression arguments and query tails draw from their own stream, so the
+  // rest of each case is the same as without them.
+  Rng ext(seed ^ 0x7a11u);
   Case c;
   c.shape = static_cast<Shape>(rng.Uniform(3));
   c.float_measure = rng.Uniform(4) == 0;
+  // Sometimes an expression: sum(a * 2), Vpct(1), avg(x * 2), ...
   auto measure = [&] {
-    if (c.float_measure) return std::string("x");
-    return std::string(rng.Uniform(2) ? "a" : "z");
+    std::string m =
+        c.float_measure ? "x" : std::string(rng.Uniform(2) ? "a" : "z");
+    switch (ext.Uniform(6)) {
+      case 0:
+        return m + " * 2";
+      case 1:
+        return c.float_measure ? m + " + 1" : std::string("1");
+      default:
+        return m;
+    }
   };
   std::vector<std::string> group_by;
   std::vector<std::string> terms;
@@ -280,9 +332,12 @@ Case Generate(uint64_t seed) {
   select.insert(select.end(), terms.begin(), terms.end());
   std::string head = "SELECT " + Join(select, ", ") + " FROM f";
   if (!c.where.empty()) head += " WHERE " + c.where;
+  const std::string tail = RandomTail(&ext, group_by, &c.ordered);
   c.sql = head;
   if (!group_by.empty()) c.sql += " GROUP BY " + Join(group_by, ", ");
-  c.sets_sql = head + " GROUP BY GROUPING SETS((" + Join(group_by, ", ") + "))";
+  c.sql += tail;
+  c.sets_sql = head + " GROUP BY GROUPING SETS((" + Join(group_by, ", ") +
+               "))" + tail;
   return c;
 }
 
@@ -318,7 +373,7 @@ std::vector<size_t> CanonicalOrder(const Table& t,
 }
 
 ::testing::AssertionResult SameResult(const Table& got, const Table& want,
-                                      uint64_t ulps) {
+                                      uint64_t ulps, bool ordered) {
   if (got.num_columns() != want.num_columns()) {
     return ::testing::AssertionFailure()
            << "column count " << got.num_columns() << " vs "
@@ -346,8 +401,13 @@ std::vector<size_t> CanonicalOrder(const Table& t,
     return ::testing::AssertionFailure()
            << "row count " << got.num_rows() << " vs " << want.num_rows();
   }
-  const std::vector<size_t> go = CanonicalOrder(got, got_cols);
-  const std::vector<size_t> wo = CanonicalOrder(want, want_cols);
+  std::vector<size_t> go(got.num_rows());
+  std::vector<size_t> wo(want.num_rows());
+  for (size_t i = 0; i < wo.size(); ++i) go[i] = wo[i] = i;
+  if (!ordered) {
+    go = CanonicalOrder(got, got_cols);
+    wo = CanonicalOrder(want, want_cols);
+  }
   for (size_t i = 0; i < wo.size(); ++i) {
     for (size_t k = 0; k < want_cols.size(); ++k) {
       const Value g = got.column(got_cols[k]).GetValue(go[i]);
@@ -459,7 +519,7 @@ class DifferentialTest : public ::testing::Test {
         ADD_FAILURE() << path << ": " << got.status().ToString();
         return;
       }
-      EXPECT_TRUE(SameResult(*got, *want, ulps)) << path;
+      EXPECT_TRUE(SameResult(*got, *want, ulps, c.ordered)) << path;
     };
 
     // The paper's materialized strategies and the OLAP baseline.

@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/aggregate.h"
 #include "engine/join.h"
+#include "engine/pipeline.h"
 #include "engine/pivot.h"
 #include "engine/table_ops.h"
 #include "engine/update.h"
@@ -27,10 +27,11 @@ TEST(EngineEdgeTest, OperatorsOnEmptyInput) {
             0u);
   EXPECT_EQ(Project(empty, {{Col("a"), "a"}}).value().num_rows(), 0u);
   EXPECT_EQ(Distinct(empty, {"d"}).value().num_rows(), 0u);
-  EXPECT_EQ(Sort(empty, {"d"}).value().num_rows(), 0u);
+  EXPECT_EQ(SortBy(empty, {{"d"}}).value().num_rows(), 0u);
   EXPECT_EQ(SortBy(empty, {{"d", true}}).value().num_rows(), 0u);
   EXPECT_EQ(Limit(empty, 10).num_rows(), 0u);
-  EXPECT_EQ(HashAggregate(empty, {"d"}, {{AggFunc::kSum, Col("a"), "s"}})
+  EXPECT_EQ(FusedAggregate(empty, nullptr, {"d"},
+                           {{AggFunc::kSum, Col("a"), "s"}})
                 .value()
                 .num_rows(),
             0u);
@@ -133,7 +134,8 @@ TEST(EngineEdgeTest, AggregateManyGroupsOneRowEach) {
                     .ok());
   }
   Table out =
-      HashAggregate(t, {"d"}, {{AggFunc::kSum, Col("a"), "s"}}).value();
+      FusedAggregate(t, nullptr, {"d"}, {{AggFunc::kSum, Col("a"), "s"}})
+          .value();
   EXPECT_EQ(out.num_rows(), 100u);
 }
 

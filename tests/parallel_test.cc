@@ -17,10 +17,10 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/database.h"
-#include "engine/aggregate.h"
 #include "engine/join.h"
 #include "engine/packed_key.h"
 #include "engine/parallel.h"
+#include "engine/pipeline.h"
 #include "engine/pivot.h"
 #include "engine/table_ops.h"
 #include "engine/window.h"
@@ -243,9 +243,10 @@ TEST(ParallelOpsAggregate, IdenticalToSerialAcrossDopAndSeeds) {
                                   {AggFunc::kMin, Col("m"), "lo"},
                                   {AggFunc::kMax, Col("m"), "hi"}};
     };
-    Table serial = HashAggregate(t, {"d1", "d2"}, aggs(), 1).value();
+    Table serial = FusedAggregate(t, nullptr, {"d1", "d2"}, aggs(), 1).value();
     for (size_t dop : kDops) {
-      Table parallel = HashAggregate(t, {"d1", "d2"}, aggs(), dop).value();
+      Table parallel =
+          FusedAggregate(t, nullptr, {"d1", "d2"}, aggs(), dop).value();
       // Integer measures: bit-identical, including group order (first-seen)
       // and the all-NULL d1=3 groups (sum NULL, count 0).
       ExpectTablesIdentical(serial, parallel);
@@ -255,10 +256,10 @@ TEST(ParallelOpsAggregate, IdenticalToSerialAcrossDopAndSeeds) {
 
 TEST(ParallelOpsAggregate, AllNullGroupStaysNull) {
   Table t = RandomFact(11, 20000);
-  Table out = HashAggregate(t, {"d1"},
-                            {{AggFunc::kSum, Col("m"), "s"},
+  Table out = FusedAggregate(t, nullptr, {"d1"},
+                             {{AggFunc::kSum, Col("m"), "s"},
                              {AggFunc::kCount, Col("m"), "c"}},
-                            4)
+                             4)
                   .value();
   bool saw_null_group = false;
   for (size_t r = 0; r < out.num_rows(); ++r) {
@@ -277,9 +278,10 @@ TEST(ParallelOpsAggregate, FloatSumsCloseToSerial) {
                             {AggFunc::kAvg, Col("f"), "avg"},
                             {AggFunc::kMin, Col("f"), "lo"},
                             {AggFunc::kMax, Col("f"), "hi"}};
-  Table serial = HashAggregate(t, {"d1", "d2"}, aggs, 1).value();
+  Table serial = FusedAggregate(t, nullptr, {"d1", "d2"}, aggs, 1).value();
   for (size_t dop : kDops) {
-    Table parallel = HashAggregate(t, {"d1", "d2"}, aggs, dop).value();
+    Table parallel =
+        FusedAggregate(t, nullptr, {"d1", "d2"}, aggs, dop).value();
     ExpectTablesClose(serial, parallel);
   }
 }
@@ -287,14 +289,17 @@ TEST(ParallelOpsAggregate, FloatSumsCloseToSerial) {
 TEST(ParallelOpsAggregate, GlobalGroupAndEmptyInput) {
   Table t = RandomFact(3, 5000);
   Table serial =
-      HashAggregate(t, {}, {{AggFunc::kSum, Col("m"), "s"}}, 1).value();
+      FusedAggregate(t, nullptr, {}, {{AggFunc::kSum, Col("m"), "s"}}, 1)
+          .value();
   Table parallel =
-      HashAggregate(t, {}, {{AggFunc::kSum, Col("m"), "s"}}, 8).value();
+      FusedAggregate(t, nullptr, {}, {{AggFunc::kSum, Col("m"), "s"}}, 8)
+          .value();
   ExpectTablesIdentical(serial, parallel);
 
   Table empty(Schema({{"d", DataType::kInt64}, {"m", DataType::kInt64}}));
   Table out =
-      HashAggregate(empty, {}, {{AggFunc::kSum, Col("m"), "s"}}, 8).value();
+      FusedAggregate(empty, nullptr, {}, {{AggFunc::kSum, Col("m"), "s"}}, 8)
+          .value();
   ASSERT_EQ(out.num_rows(), 1u);  // SQL: global group over zero rows
   EXPECT_TRUE(out.column(0).IsNull(0));
 }
@@ -378,8 +383,8 @@ TEST(ParallelOpsJoin, ProbeIdenticalToSerialWithAndWithoutIndex) {
   // Right side: one row per (d1, d2), minus the d1=0 groups so left-outer
   // probes actually produce unmatched rows (NULL right-side outputs).
   Table right =
-      Filter(HashAggregate(left, {"d1", "d2"},
-                           {{AggFunc::kSum, Col("m"), "tot"}}, 1)
+      Filter(FusedAggregate(left, nullptr, {"d1", "d2"},
+                            {{AggFunc::kSum, Col("m"), "tot"}}, 1)
                  .value(),
              Ne(Col("d1"), Lit(Value::Int64(0))))
           .value();
@@ -409,8 +414,8 @@ TEST(ParallelOpsJoin, ProbeIdenticalToSerialWithAndWithoutIndex) {
 
 TEST(ParallelOpsJoin, LookupColumnIdenticalToSerial) {
   Table left = RandomFact(31, 25000);
-  Table right = HashAggregate(left, {"d1"},
-                              {{AggFunc::kSum, Col("m"), "tot"}}, 1)
+  Table right = FusedAggregate(left, nullptr, {"d1"},
+                               {{AggFunc::kSum, Col("m"), "tot"}}, 1)
                     .value();
   Column serial = [&] {
     ScopedParallelism scope(1);

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/cpu.h"
@@ -307,23 +308,226 @@ TEST_F(PipelineSimd, FusedAggregateMatchesScalarFallback) {
   EXPECT_TRUE(BitIdentical(*vec, *scalar));
 }
 
-TEST_F(PipelineSimd, FusedAggregateMatchesFilterThenHashAggregate) {
-  Table f = IntFact(20000, 29);
+// The GROUP BY kernel against a row-at-a-time oracle computed from Values:
+// every key tier, dop 1 and 4, with and without WHERE, NULL keys, all six
+// aggregate functions and INT64 values beyond 2^53. Float measures are
+// multiples of 0.25, so their sums are exact in any order and every cell
+// must match exactly.
+Table OracleFact(size_t n) {
+  Rng rng(37);
+  Table t(Schema({{"ds", DataType::kString},
+                  {"dl", DataType::kString},
+                  {"i1", DataType::kInt64},
+                  {"f1", DataType::kFloat64},
+                  {"a", DataType::kInt64},
+                  {"big", DataType::kInt64},
+                  {"x", DataType::kFloat64},
+                  {"txt", DataType::kString}}));
+  static const char* kSmall[] = {"mon", "tue", "wed", "thu", "fri"};
+  const int64_t kBig[] = {(int64_t{1} << 53) + 1, (int64_t{1} << 53),
+                          (int64_t{1} << 53) + 3, INT64_MAX, INT64_MAX - 1,
+                          INT64_MIN, INT64_MIN + 1};
+  auto maybe_null = [&](Value v, uint64_t one_in) {
+    return rng.Uniform(one_in) == 0 ? Value::Null() : v;
+  };
+  for (size_t i = 0; i < n; ++i) {
+    t.AppendRow(
+        {maybe_null(Value::String(kSmall[rng.Uniform(5)]), 10),
+         // ~5000 distinct strings: a dictionary past the direct-dict cap.
+         maybe_null(Value::String("k" + std::to_string(rng.Uniform(5000))),
+                    20),
+         maybe_null(Value::Int64(rng.UniformRange(-3, 3)), 9),
+         maybe_null(Value::Float64(0.5 * static_cast<double>(rng.Uniform(4))),
+                    11),
+         maybe_null(Value::Int64(rng.UniformRange(-50, 50)), 12),
+         maybe_null(Value::Int64(kBig[rng.Uniform(7)]), 8),
+         maybe_null(Value::Float64(0.25 * static_cast<double>(
+                                              rng.UniformRange(-400, 400))),
+                    13),
+         maybe_null(Value::String("t" + std::to_string(rng.Uniform(50))),
+                    7)});
+  }
+  return t;
+}
+
+struct OracleAgg {
+  AggFunc func;
+  std::string column;  // "" for count(*)
+};
+
+// SQL semantics row by row: NULL inputs skipped, groups in first-seen order,
+// one global group even over zero rows.
+Table OracleAggregate(const Table& t, const std::vector<std::string>& group_by,
+                      const std::vector<OracleAgg>& aggs, bool filtered) {
+  struct Acc {
+    int64_t rows = 0, count = 0, isum = 0;
+    double sum = 0;
+    Value min, max;
+  };
+  auto less = [](const Value& a, const Value& b) {
+    if (a.is_int64()) return a.int64() < b.int64();
+    if (a.is_float64()) return a.float64() < b.float64();
+    return a.string() < b.string();
+  };
+  std::unordered_map<std::string, size_t> group_of;
+  std::vector<std::vector<Value>> key_values;
+  std::vector<std::vector<Acc>> accs;
+  const size_t a_col = t.schema().FindColumn("a").value();
+  std::vector<size_t> group_cols, agg_cols;
+  for (const std::string& g : group_by) {
+    group_cols.push_back(t.schema().FindColumn(g).value());
+  }
+  for (const OracleAgg& agg : aggs) {
+    agg_cols.push_back(
+        agg.column.empty() ? 0 : t.schema().FindColumn(agg.column).value());
+  }
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    const Value a = t.column(a_col).GetValue(r);
+    if (filtered && (a.is_null() || a.int64() <= 0)) continue;  // a > 0
+    std::string key;
+    std::vector<Value> kv;
+    for (size_t c : group_cols) {
+      kv.push_back(t.column(c).GetValue(r));
+      key += kv.back().is_null() ? "NULL" : "=" + kv.back().ToString();
+      key += '\x1f';
+    }
+    const auto [it, inserted] = group_of.emplace(key, key_values.size());
+    const size_t g = it->second;
+    if (inserted) {
+      key_values.push_back(kv);
+      accs.emplace_back(aggs.size());
+    }
+    for (size_t i = 0; i < aggs.size(); ++i) {
+      Acc& acc = accs[g][i];
+      acc.rows++;
+      if (aggs[i].column.empty()) continue;
+      const Value v = t.column(agg_cols[i]).GetValue(r);
+      if (v.is_null()) continue;
+      acc.count++;
+      if (aggs[i].func == AggFunc::kSum && v.is_int64()) acc.isum += v.int64();
+      if (!v.is_string()) acc.sum += v.AsDouble();
+      if (acc.min.is_null() || less(v, acc.min)) acc.min = v;
+      if (acc.max.is_null() || less(acc.max, v)) acc.max = v;
+    }
+  }
+  if (group_by.empty() && accs.empty()) accs.emplace_back(aggs.size());
+  Schema schema;
+  for (const std::string& g : group_by) {
+    schema.AddColumn(t.schema().column(t.schema().FindColumn(g).value()));
+  }
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    DataType type = DataType::kInt64;
+    if (aggs[i].func == AggFunc::kAvg) {
+      type = DataType::kFloat64;
+    } else if (aggs[i].func != AggFunc::kCount &&
+               aggs[i].func != AggFunc::kCountStar) {
+      type = t.schema()
+                 .column(t.schema().FindColumn(aggs[i].column).value())
+                 .type;
+    }
+    schema.AddColumn({"c" + std::to_string(i), type});
+  }
+  Table out(schema);
+  for (size_t g = 0; g < accs.size(); ++g) {
+    std::vector<Value> row = g < key_values.size() ? key_values[g]
+                                                   : std::vector<Value>{};
+    for (size_t i = 0; i < aggs.size(); ++i) {
+      const Acc& acc = accs[g][i];
+      const DataType type = schema.column(group_by.size() + i).type;
+      switch (aggs[i].func) {
+        case AggFunc::kCountStar:
+          row.push_back(Value::Int64(acc.rows));
+          break;
+        case AggFunc::kCount:
+          row.push_back(Value::Int64(acc.count));
+          break;
+        case AggFunc::kSum:
+          row.push_back(acc.count == 0 ? Value::Null()
+                        : type == DataType::kInt64 ? Value::Int64(acc.isum)
+                                                   : Value::Float64(acc.sum));
+          break;
+        case AggFunc::kAvg:
+          row.push_back(acc.count == 0
+                            ? Value::Null()
+                            : Value::Float64(acc.sum /
+                                             static_cast<double>(acc.count)));
+          break;
+        case AggFunc::kMin:
+          row.push_back(acc.min);
+          break;
+        case AggFunc::kMax:
+          row.push_back(acc.max);
+          break;
+      }
+    }
+    out.AppendRow(row);
+  }
+  return out;
+}
+
+// The kernel's key-tier annotation for one aggregation, from its trace node.
+std::string KeyTier(const Table& t, const std::vector<std::string>& group_by,
+                    const std::vector<AggSpec>& aggs) {
+  obs::TraceNode root;
+  {
+    obs::ScopedTraceNode scope(&root);
+    EXPECT_TRUE(FusedAggregate(t, nullptr, group_by, aggs, 1).ok());
+  }
+  return root.children.empty() ? "" : root.children[0]->detail;
+}
+
+TEST_F(PipelineSimd, FusedAggregateMatchesRowOracle) {
+  const Table t = OracleFact(50000);
+  const std::vector<OracleAgg> oracle_aggs = {
+      {AggFunc::kSum, "a"},   {AggFunc::kCount, "a"}, {AggFunc::kCountStar, ""},
+      {AggFunc::kAvg, "a"},   {AggFunc::kMin, "a"},   {AggFunc::kMax, "a"},
+      {AggFunc::kMin, "big"}, {AggFunc::kMax, "big"}, {AggFunc::kCount, "big"},
+      {AggFunc::kSum, "x"},   {AggFunc::kAvg, "x"},   {AggFunc::kMin, "x"},
+      {AggFunc::kMax, "x"},   {AggFunc::kMin, "txt"}, {AggFunc::kMax, "txt"},
+      {AggFunc::kCount, "txt"}};
   std::vector<AggSpec> aggs;
-  aggs.push_back({AggFunc::kSum, Col("a"), "s"});
-  aggs.push_back({AggFunc::kCountStar, nullptr, "n"});
-  ExprPtr where = Gt(Col("a"), Lit(Value::Int64(40)));
-
-  Result<Table> fused = FusedAggregate(f, where, {"d1", "d2", "d3"}, aggs, 1);
-  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-
-  Result<Table> filtered = Filter(f, where);
-  ASSERT_TRUE(filtered.ok());
-  Result<Table> reference =
-      HashAggregate(*filtered, {"d1", "d2", "d3"}, aggs, 1);
-  ASSERT_TRUE(reference.ok());
-
-  EXPECT_TRUE(BitIdentical(*fused, *reference));
+  for (size_t i = 0; i < oracle_aggs.size(); ++i) {
+    const OracleAgg& o = oracle_aggs[i];
+    aggs.push_back({o.func, o.column.empty() ? nullptr : Col(o.column),
+                    "c" + std::to_string(i)});
+  }
+  const struct {
+    std::vector<std::string> group_by;
+    const char* tier;
+  } kShapes[] = {
+      {{"ds"}, "keys=direct-dict(5)"},
+      {{"dl"}, "keys=inline(1x8B)"},
+      {{}, "keys=inline(0x8B)"},
+      {{"i1"}, "keys=inline(1x8B)"},
+      {{"i1", "f1"}, "keys=inline(2x8B)"},
+      {{"i1", "ds", "f1"}, "keys=packed(23B)"},
+      {{"dl", "ds", "i1"}, "keys=packed(19B)"},
+  };
+  ASSERT_GT(t.column(1).dict()->size(), 4096u);
+  const ExprPtr where = Gt(Col("a"), Lit(Value::Int64(0)));
+  for (const auto& shape : kShapes) {
+    EXPECT_EQ(KeyTier(t, shape.group_by, aggs), shape.tier);
+    for (bool filtered : {false, true}) {
+      const Table want =
+          OracleAggregate(t, shape.group_by, oracle_aggs, filtered);
+      for (size_t dop : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE(std::string(shape.tier) + " where=" +
+                     std::to_string(filtered) + " dop=" + std::to_string(dop));
+        Result<Table> got = FusedAggregate(t, filtered ? where : nullptr,
+                                           shape.group_by, aggs, dop);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(got->schema(), want.schema());
+        EXPECT_TRUE(BitIdentical(*got, want));
+      }
+    }
+  }
+  // A WHERE that keeps nothing still yields the global group.
+  const Table none = FusedAggregate(t, Lt(Col("a"), Lit(Value::Int64(-100))),
+                                    {}, aggs, 4)
+                         .value();
+  ASSERT_EQ(none.num_rows(), 1u);
+  EXPECT_EQ(none.column(2).GetValue(0), Value::Int64(0));
+  EXPECT_TRUE(none.column(6).GetValue(0).is_null());
 }
 
 TEST_F(PipelineSimd, PercentDivideMatchesScalarLoop) {

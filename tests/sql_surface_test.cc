@@ -67,6 +67,31 @@ TEST(SqlSurfaceTest, LimitTruncates) {
   EXPECT_EQ(db->Query("SELECT d FROM f LIMIT 0").value().num_rows(), 0u);
 }
 
+// INT64 values beyond 2^53 (where neighbouring integers share one double)
+// order and aggregate exactly.
+TEST(SqlSurfaceTest, Int64BeyondTwoTo53OrdersAndAggregatesExactly) {
+  PctDatabase db;
+  Table s(
+      Schema({{"store", DataType::kInt64}, {"salesAmt", DataType::kInt64}}));
+  ASSERT_TRUE(db.CreateTable("s", std::move(s)).ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO s (store, salesAmt) VALUES "
+                         "(9007199254740993, 1), (9007199254740992, 2)")
+                  .ok());
+  Table sorted = db.Query("SELECT store, salesAmt FROM s WHERE store > "
+                          "9000000000000000 ORDER BY store")
+                     .value();
+  ASSERT_EQ(sorted.num_rows(), 2u);
+  EXPECT_EQ(sorted.column(0).Int64At(0), 9007199254740992);
+  EXPECT_EQ(sorted.column(0).Int64At(1), 9007199254740993);
+  Table mx = db.Query("SELECT max(store) AS m, min(store) AS n FROM s").value();
+  EXPECT_EQ(mx.column(0).Int64At(0), 9007199254740993);
+  EXPECT_EQ(mx.column(1).Int64At(0), 9007199254740992);
+  Table grouped = db.Query("SELECT salesAmt, max(store) AS m FROM s "
+                           "GROUP BY salesAmt ORDER BY m DESC")
+                      .value();
+  EXPECT_EQ(grouped.column(1).Int64At(0), 9007199254740993);
+}
+
 TEST(SqlSurfaceTest, HavingFiltersGroups) {
   SqlSurfaceDb db;
   Table t = db->Query("SELECT d, sum(a) AS s FROM f GROUP BY d "

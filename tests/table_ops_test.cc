@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace pctagg {
 namespace {
 
@@ -77,7 +80,7 @@ TEST(DistinctTest, MultiColumn) {
 }
 
 TEST(SortTest, AscendingNullsFirst) {
-  Table out = Sort(TestTable(), {"d"}).value();
+  Table out = SortBy(TestTable(), {{"d"}}).value();
   EXPECT_TRUE(out.column(0).IsNull(0));
   EXPECT_EQ(out.column(0).Int64At(1), 1);
   EXPECT_EQ(out.column(0).Int64At(2), 2);
@@ -85,7 +88,7 @@ TEST(SortTest, AscendingNullsFirst) {
 }
 
 TEST(SortTest, StableWithinEqualKeys) {
-  Table out = Sort(TestTable(), {"d"}).value();
+  Table out = SortBy(TestTable(), {{"d"}}).value();
   // The two d=2 rows keep input order: a=1.0 before a=3.0.
   EXPECT_DOUBLE_EQ(out.column(1).Float64At(2), 1.0);
   EXPECT_DOUBLE_EQ(out.column(1).Float64At(3), 3.0);
@@ -96,7 +99,7 @@ TEST(SortTest, SecondaryKey) {
   t.AppendRow({Value::Int64(1), Value::Int64(2)});
   t.AppendRow({Value::Int64(1), Value::Int64(1)});
   t.AppendRow({Value::Int64(0), Value::Int64(9)});
-  Table out = Sort(t, {"x", "y"}).value();
+  Table out = SortBy(t, {{"x"}, {"y"}}).value();
   EXPECT_EQ(out.column(0).Int64At(0), 0);
   EXPECT_EQ(out.column(1).Int64At(1), 1);
   EXPECT_EQ(out.column(1).Int64At(2), 2);
@@ -106,8 +109,25 @@ TEST(SortTest, StringsSortLexicographically) {
   Table t(Schema({{"s", DataType::kString}}));
   t.AppendRow({Value::String("pear")});
   t.AppendRow({Value::String("apple")});
-  Table out = Sort(t, {"s"}).value();
+  Table out = SortBy(t, {{"s"}}).value();
   EXPECT_EQ(out.column(0).StringAt(0), "apple");
+}
+
+TEST(SortTest, Int64BeyondTwoTo53OrdersExactly) {
+  // 2^53 + 1 and 2^53 are the same double; ordering must not go through one.
+  const int64_t two53 = int64_t{1} << 53;
+  Table t(Schema({{"x", DataType::kInt64}}));
+  t.AppendRow({Value::Int64(two53 + 1)});
+  t.AppendRow({Value::Int64(two53)});
+  t.AppendRow({Value::Int64(std::numeric_limits<int64_t>::max())});
+  t.AppendRow({Value::Int64(std::numeric_limits<int64_t>::max() - 1)});
+  Table asc = SortBy(t, {{"x"}}).value();
+  EXPECT_EQ(asc.column(0).Int64At(0), two53);
+  EXPECT_EQ(asc.column(0).Int64At(1), two53 + 1);
+  EXPECT_EQ(asc.column(0).Int64At(2), std::numeric_limits<int64_t>::max() - 1);
+  Table desc = SortBy(t, {{"x", true}}).value();
+  EXPECT_EQ(desc.column(0).Int64At(0), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(desc.column(0).Int64At(3), two53);
 }
 
 TEST(InsertIntoTest, AppendsAllRows) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "engine/index.h"
 #include "engine/pivot.h"
 #include "engine/table.h"
@@ -120,6 +122,19 @@ TEST(WindowAggregateTest, MinMaxAvg) {
       20.0);
 }
 
+TEST(WindowAggregateTest, Int64MinMaxExactBeyondTwoTo53) {
+  const int64_t two53 = int64_t{1} << 53;
+  Table t(Schema({{"d", DataType::kInt64}, {"a", DataType::kInt64}}));
+  t.AppendRow({Value::Int64(1), Value::Int64(two53 + 1)});
+  t.AppendRow({Value::Int64(1), Value::Int64(two53)});
+  t.AppendRow({Value::Int64(2), Value::Int64(INT64_MAX)});
+  Column mx = WindowAggregate(t, {"d"}, AggFunc::kMax, Col("a")).value();
+  Column mn = WindowAggregate(t, {"d"}, AggFunc::kMin, Col("a")).value();
+  EXPECT_EQ(mx.Int64At(1), two53 + 1);
+  EXPECT_EQ(mn.Int64At(0), two53);
+  EXPECT_EQ(mx.Int64At(2), INT64_MAX);
+}
+
 TEST(WindowAggregateTest, AllNullPartitionYieldsNull) {
   Table t(Schema({{"d", DataType::kInt64}, {"a", DataType::kFloat64}}));
   t.AppendRow({Value::Int64(1), Value::Null()});
@@ -214,6 +229,25 @@ TEST(PivotTest, MinMaxAvgCells) {
                        .column(1)
                        .Float64At(1),
                    5.0);
+}
+
+TEST(PivotTest, Int64MinMaxCellsExactBeyondTwoTo53) {
+  const int64_t two53 = int64_t{1} << 53;
+  Table t(Schema({{"d", DataType::kInt64},
+                  {"e", DataType::kInt64},
+                  {"a", DataType::kInt64}}));
+  t.AppendRow({Value::Int64(1), Value::Int64(1), Value::Int64(two53 + 1)});
+  t.AppendRow({Value::Int64(1), Value::Int64(1), Value::Int64(two53)});
+  t.AppendRow({Value::Int64(2), Value::Int64(2), Value::Int64(INT64_MAX)});
+  PivotOptions mx;
+  mx.func = AggFunc::kMax;
+  Table hi = HashDispatchPivot(t, {"d"}, {"e"}, Col("a"), mx).value();
+  EXPECT_EQ(hi.column(1).Int64At(0), two53 + 1);
+  EXPECT_EQ(hi.column(2).Int64At(1), INT64_MAX);
+  PivotOptions mn;
+  mn.func = AggFunc::kMin;
+  Table lo = HashDispatchPivot(t, {"d"}, {"e"}, Col("a"), mn).value();
+  EXPECT_EQ(lo.column(1).Int64At(0), two53);
 }
 
 TEST(PivotTest, EmptyGroupByGivesOneRow) {
